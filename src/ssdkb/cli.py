@@ -187,7 +187,9 @@ def main(argv: list[str] | None = None) -> int:
         ProfileError,
         DlEvalError,
         ClassificationError,
-        FileNotFoundError,
+        # a path that is missing, a directory, not permitted or not UTF-8
+        OSError,
+        UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,6 +24,7 @@ from .terms import (
     Term,
     local_name,
     term_sort_key,
+    unescape,
 )
 
 
@@ -256,7 +257,10 @@ class _SparqlParser:
         if tok[0] == "decimal":
             return Literal(tok[1], "decimal")
         if tok[0] == "string":
-            return Literal(tok[1][1:-1], "string")
+            try:
+                return Literal(unescape(tok[1][1:-1]), "string")
+            except ValueError:
+                raise SparqlSyntaxError("bad string escape", tok[2]) from None
         raise SparqlSyntaxError(f"expected a term, found {tok[1]!r}", tok[2])
 
     def parse_patterns(self) -> list[TriplePattern]:

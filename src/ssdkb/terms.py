@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Union
@@ -60,6 +61,20 @@ class Literal:
             escaped = self.lexical.replace("\\", "\\\\").replace('"', '\\"')
             return f'"{escaped}"'
         return self.lexical
+
+
+_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
+_ESCAPE_RX = re.compile(r"\\(.?)", re.DOTALL)
+
+
+def unescape(raw: str) -> str:
+    """The text of a quoted string literal, given what lies between the
+    quotes: the inverse of `Literal.__str__`. Raises ValueError on an escape
+    other than \\\\, \\", \\n, \\t or \\r."""
+    try:
+        return _ESCAPE_RX.sub(lambda m: _ESCAPES[m[1]], raw)
+    except KeyError:
+        raise ValueError(f"bad string escape in {raw!r}") from None
 
 
 Term = Union[Iri, BlankNode, Literal]

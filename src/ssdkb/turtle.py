@@ -5,10 +5,21 @@ angle brackets, the `a` keyword, `;` predicate lists, `.` terminators,
 `_:label` blank nodes, integer/decimal/quoted-string literals, and
 `#` comments. Collections, language tags and numeric exponents are out of
 scope.
+
+The reader makes one pass over the text. A single alternation regex skips
+whitespace and comments and matches the next token; the statement loop
+pulls tokens from it one at a time, so no token list is built. Line and
+column are worked out from the offset only when an error is raised.
+
+Within one document, every distinct IRI, prefixed name, blank-node label
+and literal token is turned into a term once, and all its occurrences share
+that instance. Sharing is safe because terms are frozen. An `@prefix`
+directive empties the cache, since it can change what a prefixed name means.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -20,6 +31,7 @@ from .terms import (
     RDF_TYPE,
     Term,
     term_sort_key,
+    unescape,
 )
 
 
@@ -53,186 +65,144 @@ class TripleGraph:
         return len(self.triples)
 
 
-# --- tokenizer ---
+# --- reader ---
 
-_TOKEN_RES = [
-    ("IRIREF", re.compile(r"<([^<>\s]*)>")),
-    ("PREFIX_DIRECTIVE", re.compile(r"@prefix\b")),
-    ("BLANK", re.compile(r"_:([A-Za-z0-9][A-Za-z0-9_\-]*)")),
+# One token per match, after any whitespace and `#` comments. Alternatives
+# are tried in order and the first that matches wins, so `a:` is a prefixed
+# name and `a` alone the keyword. The group names are the token kinds that
+# error messages print; ERROR catches any other character, so every offset
+# before the end yields a match and `finditer` never skips text.
+_TOKEN_RX = re.compile(
+    r"(?:\s+|#[^\n]*)*(?:"
+    r"(?P<IRIREF><[^<>\s]*>)"
+    r"|(?P<PREFIX_DIRECTIVE>@prefix\b)"
+    r"|(?P<BLANK>_:[A-Za-z0-9][A-Za-z0-9_\-]*)"
     # Local part may be empty (`ssd:` alone is valid but unused here).
-    ("PNAME", re.compile(r"([A-Za-z][A-Za-z0-9_\-]*)?:([A-Za-z_][A-Za-z0-9_\-]*)?")),
-    ("DECIMAL", re.compile(r"[+-]?[0-9]+\.[0-9]+")),
-    ("INTEGER", re.compile(r"[+-]?[0-9]+")),
-    ("STRING", re.compile(r'"((?:[^"\\]|\\.)*)"')),
-    ("A", re.compile(r"a(?![A-Za-z0-9_\-:])")),
-    ("SEMI", re.compile(r";")),
-    ("DOT", re.compile(r"\.")),
-]
+    r"|(?P<PNAME>(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z_][A-Za-z0-9_\-]*)?)"
+    r"|(?P<DECIMAL>[+-]?[0-9]+\.[0-9]+)"
+    r"|(?P<INTEGER>[+-]?[0-9]+)"
+    r'|(?P<STRING>"(?:[^"\\]|\\.)*")'
+    r"|(?P<A>a(?![A-Za-z0-9_\-:]))"
+    r"|(?P<SEMI>;)"
+    r"|(?P<DOT>\.)"
+    r"|(?P<EOF>\Z)"
+    r"|(?P<ERROR>.))"
+)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    groups: tuple
-    line: int
-    column: int
+class _Reader:
+    """One pass over a document. The statement loop pulls each token from
+    the scanner when it needs it."""
 
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line = 1
-    line_start = 0
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch == "\n":
-            line += 1
-            pos += 1
-            line_start = pos
-            continue
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == "#":
-            end = text.find("\n", pos)
-            pos = n if end == -1 else end
-            continue
-        for kind, rx in _TOKEN_RES:
-            m = rx.match(text, pos)
-            if m:
-                tokens.append(
-                    _Token(kind, m.group(0), m.groups(), line, pos - line_start + 1)
-                )
-                pos = m.end()
-                break
-        else:
-            raise TurtleSyntaxError(
-                f"unexpected character {ch!r}", line, pos - line_start + 1
-            )
-    tokens.append(_Token("EOF", "", (), line, n - line_start + 1))
-    return tokens
-
-
-_STRING_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
-
-
-def _unescape(raw: str, token: _Token) -> str:
-    out = []
-    i = 0
-    while i < len(raw):
-        if raw[i] == "\\":
-            if i + 1 >= len(raw) or raw[i + 1] not in _STRING_ESCAPES:
-                raise TurtleSyntaxError("bad string escape", token.line, token.column)
-            out.append(_STRING_ESCAPES[raw[i + 1]])
-            i += 2
-        else:
-            out.append(raw[i])
-            i += 1
-    return "".join(out)
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _TOKEN_RX.finditer(text)
         self.graph = TripleGraph(prefix_table={})
+        # token text -> the one term instance shared by all its occurrences
+        self.terms: dict[str, Term] = {}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise TurtleSyntaxError(
-                f"expected {kind}, found {tok.kind} {tok.text!r}", tok.line, tok.column
-            )
-        return tok
-
-    def parse(self) -> TripleGraph:
-        while self.peek().kind != "EOF":
-            if self.peek().kind == "PREFIX_DIRECTIVE":
-                self.parse_prefix()
+    def read(self) -> TripleGraph:
+        m = next(self.tokens)
+        while m.lastgroup != "EOF":
+            if m.lastgroup == "PREFIX_DIRECTIVE":
+                self.read_prefix()
             else:
-                self.parse_statement()
+                self.read_statement(m)
+            m = next(self.tokens)
         return self.graph
 
-    def parse_prefix(self) -> None:
-        self.expect("PREFIX_DIRECTIVE")
-        tok = self.expect("PNAME")
-        label, local = tok.groups
-        if local:
-            raise TurtleSyntaxError(
-                "prefix declaration label must end with ':'", tok.line, tok.column
-            )
-        iri = self.expect("IRIREF")
-        self.expect("DOT")
-        self.graph.prefix_table[label or ""] = iri.groups[0]
-
-    def resolve_pname(self, tok: _Token) -> Iri:
-        label, local = tok.groups
-        label = label or ""
-        ns = self.graph.prefix_table.get(label)
-        if ns is None:
-            raise TurtleSyntaxError(f"unresolvable prefix {label!r}", tok.line, tok.column)
-        return Iri(ns + (local or ""))
-
-    def parse_term(self, *, as_predicate: bool = False) -> Term:
-        tok = self.next()
-        if tok.kind == "A" and as_predicate:
-            return RDF_TYPE
-        if tok.kind == "IRIREF":
-            return Iri(tok.groups[0])
-        if tok.kind == "PNAME":
-            return self.resolve_pname(tok)
-        if as_predicate:
-            raise TurtleSyntaxError(
-                f"predicate must be an IRI, found {tok.text!r}", tok.line, tok.column
-            )
-        if tok.kind == "BLANK":
-            return BlankNode(tok.groups[0])
-        if tok.kind == "INTEGER":
-            return Literal(tok.text, "integer")
-        if tok.kind == "DECIMAL":
-            return Literal(tok.text, "decimal")
-        if tok.kind == "STRING":
-            return Literal(_unescape(tok.groups[0], tok), "string")
-        raise TurtleSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.column)
-
-    def parse_statement(self) -> None:
-        subject = self.parse_term()
+    def read_statement(self, m: re.Match) -> None:
+        tokens = self.tokens
+        triples = self.graph.triples
+        subject = self.term(m)
         if isinstance(subject, Literal):
-            tok = self.tokens[self.pos - 1]
-            raise TurtleSyntaxError("subject cannot be a literal", tok.line, tok.column)
+            raise self.error("subject cannot be a literal", m)
+        m = next(tokens)
         while True:
-            predicate = self.parse_term(as_predicate=True)
-            obj = self.parse_term()
-            self.graph.add(subject, predicate, obj)  # type: ignore[arg-type]
-            tok = self.next()
-            if tok.kind == "DOT":
-                return
-            if tok.kind == "SEMI":
+            predicate = self.predicate(m)
+            triples.add(Triple(subject, predicate, self.term(next(tokens))))
+            m = next(tokens)
+            kind = m.lastgroup
+            if kind == "SEMI":
                 # Permit a trailing `;` before the `.`
-                if self.peek().kind == "DOT":
-                    self.next()
-                    return
-                continue
-            if tok.kind == "EOF":
-                raise TurtleSyntaxError("unterminated statement", tok.line, tok.column)
-            raise TurtleSyntaxError(
-                f"expected ';' or '.', found {tok.text!r}", tok.line, tok.column
-            )
+                m = next(tokens)
+                if m.lastgroup != "DOT":
+                    continue
+            elif kind == "EOF":
+                raise self.error("unterminated statement", m)
+            elif kind != "DOT":
+                raise self.error(f"expected ';' or '.', found {m[kind]!r}", m)
+            return
+
+    def read_prefix(self) -> None:
+        m = next(self.tokens)
+        label = self.expect(m, "PNAME")
+        if not label.endswith(":"):
+            raise self.error("prefix declaration label must end with ':'", m)
+        iri = self.expect(next(self.tokens), "IRIREF")
+        self.expect(next(self.tokens), "DOT")
+        self.graph.prefix_table[label[:-1]] = iri[1:-1]
+        # Cached prefixed names may resolve differently under the new prefix.
+        self.terms.clear()
+
+    def expect(self, m: re.Match, kind: str) -> str:
+        if m.lastgroup != kind:
+            raise self.error(f"expected {kind}, found {m.lastgroup} {m[m.lastgroup]!r}", m)
+        return m[kind]
+
+    def predicate(self, m: re.Match) -> Iri:
+        kind = m.lastgroup
+        if kind == "A":
+            return RDF_TYPE
+        if kind != "PNAME" and kind != "IRIREF":
+            raise self.error(f"predicate must be an IRI, found {m[kind]!r}", m)
+        return self.term(m)  # type: ignore[return-value]
+
+    def term(self, m: re.Match) -> Term:
+        kind = m.lastgroup
+        text = m[kind]
+        term = self.terms.get(text)
+        if term is not None:
+            return term
+        if kind == "PNAME":
+            label, _, local = text.partition(":")
+            ns = self.graph.prefix_table.get(label)
+            if ns is None:
+                raise self.error(f"unresolvable prefix {label!r}", m)
+            term = Iri(ns + local)
+        elif kind == "IRIREF":
+            term = Iri(text[1:-1])
+        elif kind == "BLANK":
+            term = BlankNode(text[2:])
+        elif kind == "INTEGER" or kind == "DECIMAL":
+            term = Literal(text, kind.lower())
+        elif kind == "STRING":
+            try:
+                term = Literal(unescape(text[1:-1]), "string")
+            except ValueError:
+                raise self.error("bad string escape", m) from None
+        else:
+            raise self.error(f"unexpected token {text!r}", m)
+        self.terms[text] = term
+        return term
+
+    def error(self, message: str, m: re.Match) -> TurtleSyntaxError:
+        """The error for token `m`. An unexpected character anywhere in the
+        document takes precedence over a grammar error, so the first such
+        character is reported instead of `message` if there is one."""
+        for later in itertools.chain((m,), self.tokens):
+            if later.lastgroup == "ERROR":
+                m = later
+                message = f"unexpected character {m['ERROR']!r}"
+                break
+        pos = m.start(m.lastgroup)
+        line = self.text.count("\n", 0, pos) + 1
+        return TurtleSyntaxError(message, line, pos - self.text.rfind("\n", 0, pos))
 
 
 def parse_turtle(text: str) -> TripleGraph:
     """Parse a document in the supported Turtle subset."""
-    return _Parser(_tokenize(text)).parse()
+    return _Reader(text).read()
 
 
 # --- serializer ---

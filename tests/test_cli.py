@@ -27,6 +27,29 @@ def test_validate_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "stats"])
+def test_directory_input_exits_two(tmp_path, capsys, command):
+    assert main([command, str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{ttl}"],
+        ["stats", "{ttl}"],
+        ["query", "--dl", "-f", "{ttl}", fixture("fig3.ttl")],
+    ],
+)
+def test_non_utf8_input_exits_two(tmp_path, capsys, argv):
+    bad = tmp_path / "latin1.ttl"
+    bad.write_bytes("ssd:caf\xe9 a ssd:Study .\n".encode("latin-1"))
+    assert main([arg.format(ttl=bad) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_validate_syntax_error(tmp_path, capsys):
     bad = tmp_path / "bad.ttl"
     bad.write_text("this is not turtle")

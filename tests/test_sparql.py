@@ -12,8 +12,9 @@ from ssdkb.sparql import (
     parse_sparql,
 )
 from ssdkb.classify import materialize_types
-from ssdkb.kb import empty_kb
+from ssdkb.kb import empty_kb, graph_to_kb
 from ssdkb.terms import Literal, aut, local_name, ssd
+from ssdkb.turtle import parse_turtle
 from ssdkb.vocab import AB_DESIGN
 
 BEST_RESULT = (QUERIES / "sparql_best_result.rq").read_text()
@@ -59,6 +60,7 @@ def test_keywords_are_case_insensitive():
         "SELECT WHERE { ?x <http://e.org/p> ?y }",
         "SELECT ?x WHERE { ?x nope:p ?y }",
         "SELECT ?x WHERE { ?x <http://e.org/p> ?y } LIMIT nope",
+        'SELECT ?x WHERE { ?x <http://e.org/p> "\\q" }',
     ],
 )
 def test_syntax_and_scope_errors(text):
@@ -132,3 +134,15 @@ def test_deterministic_row_order(fig3_mat):
     first = eval_sparql(query, fig3_mat).rows
     for _ in range(5):
         assert eval_sparql(query, fig3_mat).rows == first
+
+
+def test_escaped_string_literal_matches_turtle_literal():
+    kb = graph_to_kb(
+        parse_turtle(
+            "@prefix ssd: <http://bdi.si.ehu.es/bdi/ontologies/SSDOnt/SSDOnt#> .\n"
+            'ssd:x ssd:hasGender "a\\"b\\\\c" .\n'
+        )
+    )
+    query = parse_sparql('SELECT ?s WHERE { ?s ssid:hasGender "a\\"b\\\\c" }')
+    assert query.patterns[0].object == Literal('a"b\\c', "string")
+    assert eval_sparql(query, kb).rows == [(ssd("x"),)]

@@ -3,9 +3,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
+from ssdkb.generate import GenProfile, generate_graph
 from ssdkb.isomorphism import isomorphic
-from ssdkb.terms import BlankNode, Iri, Literal, RDF_TYPE, SSD_NS, ssd
-from ssdkb.turtle import Triple, TurtleSyntaxError, parse_turtle, serialize_turtle
+from ssdkb.kb import graph_to_kb
+from ssdkb.terms import BlankNode, Iri, Literal, RDF_TYPE, SSD_NS, ssd, unescape
+from ssdkb.turtle import Triple, TripleGraph, TurtleSyntaxError, parse_turtle, serialize_turtle
 
 PAUL_BLOCK = """
 @prefix ssd: <http://bdi.si.ehu.es/bdi/ontologies/SSDOnt/SSDOnt#> .
@@ -96,6 +98,17 @@ def test_fixture_round_trip(name):
     assert serialize_turtle(again) == serialize_turtle(parse_turtle(serialize_turtle(again)))
 
 
+def test_round_trip_at_corpus_scale():
+    # `isomorphic` cannot handle a graph this size, so compare the canonical
+    # text, the size and the lifted studies instead.
+    generated = generate_graph(1000, GenProfile(seed=7))
+    text = serialize_turtle(parse_turtle(serialize_turtle(generated)))
+    parsed = parse_turtle(text)
+    assert serialize_turtle(parsed) == text
+    assert len(parsed) == len(generated)
+    assert graph_to_kb(parsed).studies == graph_to_kb(generated).studies
+
+
 def test_serializer_canonical_shape():
     graph = parse_turtle((FIXTURES / "fig3.ttl").read_text())
     text = serialize_turtle(graph)
@@ -107,11 +120,14 @@ def test_serializer_canonical_shape():
 
 
 def test_empty_graph_serializes_to_prefixes_only():
-    from ssdkb.turtle import TripleGraph
-
     text = serialize_turtle(TripleGraph())
     assert "@prefix" in text
     assert parse_turtle(text).triples == set()
+
+
+@given(st.text())
+def test_unescape_inverts_literal_quoting(text):
+    assert unescape(str(Literal(text, "string"))[1:-1]) == text
 
 
 _local = st.from_regex(r"[a-z][a-z0-9]{0,6}", fullmatch=True)
@@ -132,8 +148,77 @@ _triples = st.sets(
 
 @given(_triples)
 def test_round_trip_random_graphs(triples):
-    from ssdkb.turtle import TripleGraph
-
     graph = TripleGraph(triples=set(triples))
     again = parse_turtle(serialize_turtle(graph))
     assert isomorphic(graph, again)
+
+
+_S = "@prefix s: <http://e.org/#> .\n"
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("# c\n\n   \t ^", "unexpected character '^'", 3, 6),
+        (_S + "s:a s:p s:b ; s:q s:c ; s:r s:d", "unterminated statement", 2, 32),
+        (_S + 's:a s:p "x\\q" .', "bad string escape", 2, 9),
+        ('"lit" s:p s:o .', "subject cannot be a literal", 1, 1),
+        (_S + "s:a ;; .", "predicate must be an IRI, found ';'", 2, 5),
+        (_S + "s:a s:p s:o ;", "predicate must be an IRI, found ''", 2, 14),
+        (_S + "s:a s:p .", "unexpected token '.'", 2, 9),
+        (_S + "s:a s:p s:b s:a", "expected ';' or '.', found 's:a'", 2, 13),
+        (_S + "@prefix t: s:a .", "expected IRIREF, found PNAME 's:a'", 2, 12),
+        ("<a> <b> <c> .\n\n  @prefix s: <x>", "expected DOT, found EOF ''", 3, 17),
+        ("@prefix t: <x> s:a", "expected DOT, found PNAME 's:a'", 1, 16),
+        ("@prefix", "expected PNAME, found EOF ''", 1, 8),
+        ("@prefix s:x <http://e.org/#> .", "prefix declaration label must end with ':'", 1, 9),
+        ("nope:x nope:y nope:z .", "unresolvable prefix 'nope'", 1, 1),
+        (_S + "s:a s:p _: .", "unexpected character '_'", 2, 9),
+        # The first unexpected character wins over an earlier grammar error.
+        ('"lit" s:p s:o .\n  ^', "unexpected character '^'", 2, 3),
+    ],
+)
+def test_error_message_line_and_column(text, message, line, column):
+    with pytest.raises(TurtleSyntaxError) as info:
+        parse_turtle(text)
+    assert str(info.value) == f"{message} (line {line}, column {column})"
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+def test_position_counts_newlines_inside_strings():
+    with pytest.raises(TurtleSyntaxError) as info:
+        parse_turtle(_S + 's:a s:p "two\nlines" ; ^')
+    assert (info.value.line, info.value.column) == (3, 10)
+
+
+def test_redefined_prefix_applies_to_later_names():
+    graph = parse_turtle(
+        "@prefix s: <http://e.org/a#> .\ns:x s:p s:y .\n"
+        "@prefix s: <http://e.org/b#> .\ns:x s:p s:y .\n"
+    )
+
+    def s(ns, local):
+        return Iri(f"http://e.org/{ns}#{local}")
+
+    assert graph.triples == {
+        Triple(s("a", "x"), s("a", "p"), s("a", "y")),
+        Triple(s("b", "x"), s("b", "p"), s("b", "y")),
+    }
+    assert graph.prefix_table == {"s": "http://e.org/b#"}
+
+
+# Turtle-significant characters plus a few whole tokens, so that some
+# inputs get past the first statement.
+_turtle_text = st.lists(
+    st.sampled_from(list('@prefix:_ab01.;"\\#<>\n \t-+^é') + ["@prefix s: <x> .", "s:a ", "<x> "]),
+    max_size=40,
+).map("".join)
+
+
+@given(_turtle_text)
+def test_parse_turtle_is_total(text):
+    try:
+        graph = parse_turtle(text)
+    except TurtleSyntaxError:
+        return
+    assert isinstance(graph, TripleGraph)
