@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .classify import materialize_types
 from .dlquery import eval_dl_query, parse_dl_query
 from .generate import GenProfile, generate_graph
-from .kb import KnowledgeBase, KbStats, graph_to_kb, kb_stats, kb_to_graph
+from .kb import KbStats, graph_to_kb, kb_stats
 from .sparql import eval_sparql, parse_sparql
 from .turtle import parse_turtle, serialize_turtle
 

@@ -220,16 +220,12 @@ def materialize_types(kb: KnowledgeBase) -> KnowledgeBase:
         )
 
     taxonomy = kb.taxonomy
-    inferred: set[Triple] = set(kb.inferred)
+    inferred: set[Triple] = set()
 
-    for t in kb.graph.triples:
-        if (
-            t.predicate == RDF_TYPE
-            and isinstance(t.object, Iri)
-            and taxonomy.contains(t.object)
-        ):
-            for sup in taxonomy.superclasses(t.object):
-                inferred.add(Triple(t.subject, RDF_TYPE, sup))
+    for cls, members in kb.index().type_index.items():
+        if taxonomy.contains(cls):
+            for sup in taxonomy.superclasses(cls):
+                inferred.update(Triple(node, RDF_TYPE, sup) for node in members)
 
     for study in kb.studies:
         classification = classify_study(study, taxonomy)
@@ -243,5 +239,4 @@ def materialize_types(kb: KnowledgeBase) -> KnowledgeBase:
                 for sup in taxonomy.superclasses(item_class):
                     inferred.add(Triple(item.id, RDF_TYPE, sup))
 
-    inferred -= kb.graph.triples
-    return kb.with_inferred(frozenset(inferred))
+    return kb.with_inferred(inferred - kb.graph.triples - kb.inferred)

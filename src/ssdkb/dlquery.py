@@ -106,6 +106,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Deepest expression accepted. A parenthesis and a `some` filler are one level
+# each of the tree that evaluation recurses over; `and` chains are walked in a loop.
+MAX_DEPTH = 100
+
+
 class _DlParser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -126,17 +131,17 @@ class _DlParser:
         return tok
 
     def parse(self) -> ClassExpr:
-        expr = self.parse_expr()
+        expr = self.parse_expr(0)
         tok = self.peek()
         if tok[0] != "eof":
             raise DlSyntaxError(f"unexpected trailing input {tok[1]!r}", tok[2])
         return expr
 
-    def parse_expr(self) -> ClassExpr:
-        expr = self.parse_atom()
+    def parse_expr(self, depth: int) -> ClassExpr:
+        expr = self.parse_atom(depth)
         while self.peek()[0] == "name" and self.peek()[1] == "and":
             self.next()
-            expr = And(expr, self.parse_atom())
+            expr = And(expr, self.parse_atom(depth))
         return expr
 
     def parse_one_of(self) -> OneOf:
@@ -148,11 +153,13 @@ class _DlParser:
         self.expect("rbrace")
         return OneOf(tuple(individuals))
 
-    def parse_atom(self) -> ClassExpr:
+    def parse_atom(self, depth: int) -> ClassExpr:
         tok = self.peek()
+        if depth > MAX_DEPTH:
+            raise DlSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", tok[2])
         if tok[0] == "lpar":
             self.next()
-            expr = self.parse_expr()
+            expr = self.parse_expr(depth + 1)
             self.expect("rpar")
             return expr
         if tok[0] == "lbrace":
@@ -165,49 +172,36 @@ class _DlParser:
         following = self.peek()
         if following[0] == "name" and following[1] == "some":
             self.next()
-            return Some(name, self.parse_filler())
+            return self.parse_some(name, depth + 1)
         if following[0] == "name" and following[1] == "value":
             self.next()
             return Value(name, self.expect("name")[1])
         return NamedClass(name)
 
-    def parse_filler(self) -> ClassExpr:
+    def parse_some(self, prop: str, depth: int) -> ClassExpr:
+        """The restriction `prop some ...`, after the `some`."""
         tok = self.peek()
         if tok[0] == "lpar":
             self.next()
-            expr = self.parse_expr()
+            expr = self.parse_expr(depth)
             self.expect("rpar")
-            return expr
+            return Some(prop, expr)
         if tok[0] == "lbrace":
-            return self.parse_one_of()
+            return Some(prop, self.parse_one_of())
         if tok[0] == "name" and tok[1] in ("xsd:int", "xsd:integer"):
             self.next()
             self.expect("lbrack")
             op = self.expect("op")[1]
             bound = int(self.expect("int")[1])
             self.expect("rbrack")
-            op = {"≤": "<=", "≥": ">="}.get(op, op)
-            return ("facet", op, bound)  # type: ignore[return-value]
+            return DataSome(prop, {"≤": "<=", "≥": ">="}.get(op, op), bound)
         if tok[0] == "name":
-            return NamedClass(self.next()[1])
+            return Some(prop, NamedClass(self.next()[1]))
         raise DlSyntaxError(f"expected a filler, found {tok[1]!r}", tok[2])
 
 
 def parse_dl_query(text: str) -> ClassExpr:
-    expr = _DlParser(text).parse()
-    return _lift_facets(expr)
-
-
-def _lift_facets(expr) -> ClassExpr:
-    """Rewrite Some(prop, facet) into DataSome(prop, op, bound)."""
-    if isinstance(expr, And):
-        return And(_lift_facets(expr.left), _lift_facets(expr.right))
-    if isinstance(expr, Some):
-        if isinstance(expr.filler, tuple) and expr.filler[0] == "facet":
-            _, op, bound = expr.filler
-            return DataSome(expr.prop, op, bound)
-        return Some(expr.prop, _lift_facets(expr.filler))
-    return expr
+    return _DlParser(text).parse()
 
 
 # --- evaluation ---
@@ -268,7 +262,15 @@ class DlEvaluator:
             cls = self.resolve_class(expr.name)
             return set(self.type_index.get(cls, set()))
         if isinstance(expr, And):
-            return self.eval(expr.left) & self.eval(expr.right)
+            # a conjunction chain leans left; walk its spine, not the stack
+            rights = []
+            while isinstance(expr, And):
+                rights.append(expr.right)
+                expr = expr.left
+            members = self.eval(expr)
+            for right in reversed(rights):
+                members &= self.eval(right)
+            return members
         if isinstance(expr, Some):
             prop = self.resolve_property(expr.prop)
             members = self.eval(expr.filler)
@@ -285,7 +287,7 @@ class DlEvaluator:
             out = set()
             for t in self.by_predicate.get(prop, []):
                 if isinstance(t.object, Literal) and t.object.datatype in ("integer", "decimal"):
-                    if compare(t.object.numeric(), expr.bound):
+                    if compare(t.object.as_decimal(), expr.bound):
                         out.add(t.subject)
             return out
         raise TypeError(f"not a class expression: {expr!r}")

@@ -231,15 +231,19 @@ def _make_participant(rng: random.Random, prefix: str, index: int) -> Participan
     )
 
 
-def _generate_study(index: int, profile: GenProfile, pools) -> Study:
+def _draw_design(index: int, profile: GenProfile) -> tuple[str, random.Random]:
+    """Study `index`'s design label, and its random stream after that draw."""
     rng = random.Random(profile.seed * 1_000_003 + index)
+    names = sorted(profile.design_mix)
+    weights = [profile.design_mix[n] for n in names]
+    return rng.choices(names, weights=weights, k=1)[0], rng
+
+
+def _generate_study(index: int, profile: GenProfile, pools) -> Study:
+    design, rng = _draw_design(index, profile)
     interventions, outcomes = pools
     prefix = f"study{index:05d}"
     study_id = ssd(prefix)
-
-    names = sorted(profile.design_mix)
-    weights = [profile.design_mix[n] for n in names]
-    design = rng.choices(names, weights=weights, k=1)[0]
 
     n_participants = rng.randint(*profile.participants_per_study)
     participants = tuple(
@@ -307,10 +311,7 @@ def _generate_study(index: int, profile: GenProfile, pools) -> Study:
 def generated_design(index: int, profile: GenProfile) -> str:
     """The design label sampled for study `index` (for label-vs-classifier
     checks)."""
-    rng = random.Random(profile.seed * 1_000_003 + index)
-    names = sorted(profile.design_mix)
-    weights = [profile.design_mix[n] for n in names]
-    return rng.choices(names, weights=weights, k=1)[0]
+    return _draw_design(index, profile)[0]
 
 
 def generate_graph(n: int, profile: GenProfile | None = None) -> TripleGraph:

@@ -1,8 +1,9 @@
-"""Knowledge base: typed studies plus the raw triple graph they came from.
+"""Knowledge base: typed studies, the raw triple graph they came from, and
+the one triple store over it that every later layer reads.
 
-graph_to_kb lifts a parsed graph into the typed model; kb_to_graph is its
-inverse and additionally emits inferred type triples once the kb has been
-materialized. Unknown predicates survive in the graph untouched.
+graph_to_kb builds the store and lifts the graph into the typed model through
+it; kb_to_graph is its inverse and additionally emits inferred type triples
+once the kb has been materialized. Unknown predicates survive untouched.
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ class SchemaError(Exception):
 
 
 class TripleIndex:
-    """Lookup structures over one immutable triple set."""
+    """The triple store that every layer after the reader uses: the triples
+    in `all` plus lookup tables over them. A store is not changed once
+    built; `extended` makes a new one."""
 
     def __init__(self, triples):
         self.all = list(triples)
@@ -66,6 +69,20 @@ class TripleIndex:
             for term in (t.subject, t.object):
                 if isinstance(term, Iri):
                     self.individual_iris.add(term.value)
+
+    def extended(self, triples) -> "TripleIndex":
+        """A store over this store's triples plus `triples`, none of which
+        this store holds. Only the keys that `triples` touch are merged, into
+        copies of the tables, so this store stays as it was."""
+        added = TripleIndex(triples)
+        store = TripleIndex(())
+        store.all = self.all + added.all
+        store.by_p = _joined(self.by_p, added.by_p, list.__add__)
+        store.by_po = _joined(self.by_po, added.by_po, list.__add__)
+        store.by_sp = _joined(self.by_sp, added.by_sp, list.__add__)
+        store.type_index = _joined(self.type_index, added.type_index, set.__or__)
+        store.individual_iris = self.individual_iris | added.individual_iris
+        return store
 
     def candidates(self, subject, predicate, obj) -> list[Triple]:
         """Triples matching the given constants (None = wildcard)."""
@@ -85,60 +102,56 @@ class TripleIndex:
             and (obj is None or t.object == obj)
         ]
 
+    def objects(self, subject: Term, predicate: Iri) -> list[Term]:
+        """Objects of `subject`'s `predicate` triples, in term order."""
+        found = [t.object for t in self.by_sp.get((subject, predicate), ())]
+        found.sort(key=term_sort_key)
+        return found
+
+    def one(self, subject: Term, predicate: Iri) -> Term | None:
+        found = self.by_sp.get((subject, predicate), ())
+        return min((t.object for t in found), key=term_sort_key, default=None)
+
+
+def _joined(old: dict, new: dict, join) -> dict:
+    """A copy of `old` with `join(old[key], values)` under each key of `new`."""
+    out = dict(old)
+    for key, values in new.items():
+        out[key] = join(old[key], values) if key in old else values
+    return out
+
 
 @dataclass(frozen=True)
 class KnowledgeBase:
     graph: TripleGraph
     taxonomy: Taxonomy
+    # asserted plus inferred triples: built by graph_to_kb, extended by
+    # with_inferred; read it through index()
+    store: TripleIndex = field(repr=False, compare=False)
     studies: tuple[Study, ...] = ()
     inferred: frozenset[Triple] = frozenset()
     materialized: bool = False
-    _index: TripleIndex | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
 
     def all_triples(self) -> set[Triple]:
-        return set(self.graph.triples) | set(self.inferred)
+        # from the graph, not the store: reference evaluators read this as an
+        # input that does not depend on TripleIndex
+        return set(self.graph.triples) | self.inferred
 
     def index(self) -> TripleIndex:
-        """Cached index over asserted + inferred triples. The kb is
-        immutable, so building it once is safe."""
-        if self._index is None:
-            object.__setattr__(self, "_index", TripleIndex(self.all_triples()))
-        return self._index
+        """The kb's triple store."""
+        return self.store
 
-    def with_inferred(self, inferred: frozenset[Triple]) -> "KnowledgeBase":
-        return replace(self, inferred=inferred, materialized=True)
+    def with_inferred(self, new: set[Triple]) -> "KnowledgeBase":
+        """This kb, materialized, plus the inferred triples `new`, which it lacks."""
+        store = self.index().extended(new)
+        return replace(self, store=store, inferred=self.inferred | new, materialized=True)
 
 
 def empty_kb(taxonomy: Taxonomy | None = None) -> KnowledgeBase:
-    return KnowledgeBase(graph=TripleGraph(), taxonomy=taxonomy or core_taxonomy())
+    return graph_to_kb(TripleGraph(), taxonomy)
 
 
 # --- graph -> typed model ---
-
-
-class _GraphView:
-    def __init__(self, graph: TripleGraph):
-        self.by_subject: dict[Term, list[Triple]] = {}
-        for t in graph.triples:
-            self.by_subject.setdefault(t.subject, []).append(t)
-
-    def objects(self, subject: Term, predicate: Iri) -> list[Term]:
-        found = [
-            t.object
-            for t in self.by_subject.get(subject, [])
-            if t.predicate == predicate
-        ]
-        found.sort(key=term_sort_key)
-        return found
-
-    def one(self, subject: Term, predicate: Iri) -> Term | None:
-        found = self.objects(subject, predicate)
-        return found[0] if found else None
-
-    def types(self, subject: Term) -> list[Term]:
-        return self.objects(subject, RDF_TYPE)
 
 
 def _require_int(value: Term | None, subject: Term, what: str) -> int | None:
@@ -160,57 +173,57 @@ def _require_decimal(value: Term | None, subject: Term, what: str) -> Decimal | 
         raise SchemaError(f"{what} is not a finite number: {value}", subject)
 
 
-def _read_age(view: _GraphView, node: Term | None) -> AgeDescription | None:
+def _read_age(store: TripleIndex, node: Term | None) -> AgeDescription | None:
     if node is None:
         return None
-    years = _require_int(view.one(node, vocab.YEARS), node, "years")
-    months = _require_int(view.one(node, vocab.MONTHS), node, "months")
+    years = _require_int(store.one(node, vocab.YEARS), node, "years")
+    months = _require_int(store.one(node, vocab.MONTHS), node, "months")
     if years is None:
         raise SchemaError("age description lacks a years value", node)
     return AgeDescription(years=years, months=months)
 
 
-def _read_participant(view: _GraphView, node: Term) -> Participant:
+def _read_participant(store: TripleIndex, node: Term) -> Participant:
     return Participant(
         id=node,
-        condition=view.one(node, vocab.HAS_CONDITION),
-        gender=view.one(node, vocab.HAS_GENDER),
-        age=_read_age(view, view.one(node, vocab.HAS_AGE)),
-        diagnosed_at_age=_read_age(view, view.one(node, vocab.DIAGNOSED_AT_AGE)),
+        condition=store.one(node, vocab.HAS_CONDITION),
+        gender=store.one(node, vocab.HAS_GENDER),
+        age=_read_age(store, store.one(node, vocab.HAS_AGE)),
+        diagnosed_at_age=_read_age(store, store.one(node, vocab.DIAGNOSED_AT_AGE)),
     )
 
 
-def _read_phase(view: _GraphView, node: Term, taxonomy: Taxonomy) -> Phase:
+def _read_phase(store: TripleIndex, node: Term) -> Phase:
     kind: PhaseKind | None = None
-    for typ in view.types(node):
+    for typ in store.objects(node, RDF_TYPE):
         if isinstance(typ, Iri) and typ in PHASE_CLASS_TO_KIND:
             kind = PHASE_CLASS_TO_KIND[typ]
         elif isinstance(typ, Iri) and typ == vocab.INTERVENTION_PHASE:
             kind = kind or PhaseKind.SIMPLE_INTERVENTION
     if kind is None:
         raise SchemaError("phase node has no recognized phase type", node)
-    position = _require_int(view.one(node, vocab.HAS_POSITION), node, "hasPosition")
+    position = _require_int(store.one(node, vocab.HAS_POSITION), node, "hasPosition")
     if position is None:
         raise SchemaError("phase lacks a hasPosition value", node)
     return Phase(
         id=node,
         kind=kind,
         position=position,
-        intervention_types=tuple(view.objects(node, vocab.HAS_INTERVENTION_TYPE)),
+        intervention_types=tuple(store.objects(node, vocab.HAS_INTERVENTION_TYPE)),
     )
 
 
-def _read_result(view: _GraphView, node: Term) -> Result:
-    value = _require_decimal(view.one(node, vocab.HAS_VALUE), node, "hasValue")
+def _read_result(store: TripleIndex, node: Term) -> Result:
+    value = _require_decimal(store.one(node, vocab.HAS_VALUE), node, "hasValue")
     if value is None:
         raise SchemaError("result lacks a hasValue", node)
-    instant_node = view.one(node, vocab.OCCURS_IN)
+    instant_node = store.one(node, vocab.OCCURS_IN)
     if instant_node is None:
         raise SchemaError("result lacks an occursIn instant", node)
-    instant = _require_int(view.one(instant_node, vocab.HAS_VALUE), instant_node, "instant hasValue")
+    instant = _require_int(store.one(instant_node, vocab.HAS_VALUE), instant_node, "instant hasValue")
     if instant is None:
         raise SchemaError("instant lacks a hasValue", instant_node)
-    phase_ref = view.one(node, vocab.IS_RESULT_OF_PHASE)
+    phase_ref = store.one(node, vocab.IS_RESULT_OF_PHASE)
     if phase_ref is None:
         raise SchemaError("result lacks isResultOfPhase", node)
     return Result(
@@ -218,14 +231,14 @@ def _read_result(view: _GraphView, node: Term) -> Result:
         value=value,
         instant=instant,
         phase_ref=phase_ref,
-        intervention_type=view.one(node, vocab.HAS_INTERVENTION_TYPE),
+        intervention_type=store.one(node, vocab.HAS_INTERVENTION_TYPE),
     )
 
 
-def _asserted_design(view: _GraphView, node: Term, taxonomy: Taxonomy) -> Iri | None:
+def _asserted_design(store: TripleIndex, node: Term, taxonomy: Taxonomy) -> Iri | None:
     designs = [
         t
-        for t in view.types(node)
+        for t in store.objects(node, RDF_TYPE)
         if isinstance(t, Iri)
         and taxonomy.contains(t)
         and taxonomy.is_subclass_of(t, vocab.SINGLE_SUBJECT_DESIGN)
@@ -242,16 +255,16 @@ def graph_to_kb(graph: TripleGraph, taxonomy: Taxonomy | None = None) -> Knowled
     clashes and dangling references; structural problems beyond that are
     left for validate_study."""
     taxonomy = taxonomy or core_taxonomy()
-    view = _GraphView(graph)
+    store = TripleIndex(graph.triples)
+    typed = store.type_index
 
     study_nodes = sorted(
         {
-            t.subject
-            for t in graph.triples
-            if t.predicate == RDF_TYPE
-            and isinstance(t.object, Iri)
-            and taxonomy.contains(t.object)
-            and taxonomy.is_subclass_of(t.object, vocab.SINGLE_SUBJECT_DESIGN)
+            node
+            for cls, members in typed.items()
+            if taxonomy.contains(cls)
+            and taxonomy.is_subclass_of(cls, vocab.SINGLE_SUBJECT_DESIGN)
+            for node in members
         },
         key=term_sort_key,
     )
@@ -260,23 +273,16 @@ def graph_to_kb(graph: TripleGraph, taxonomy: Taxonomy | None = None) -> Knowled
 
     def phase_of(node: Term) -> Phase:
         if node not in phase_cache:
-            phase_cache[node] = _read_phase(view, node, taxonomy)
+            phase_cache[node] = _read_phase(store, node)
         return phase_cache[node]
 
     # results grouped by the phase they reference
     results_by_phase: dict[Term, list[Result]] = {}
-    for t in graph.triples:
-        if t.predicate == RDF_TYPE and t.object == vocab.RESULT:
-            result = _read_result(view, t.subject)
-            results_by_phase.setdefault(result.phase_ref, []).append(result)
+    for node in typed.get(vocab.RESULT, ()):
+        result = _read_result(store, node)
+        results_by_phase.setdefault(result.phase_ref, []).append(result)
 
-    phase_nodes = {
-        t.subject
-        for t in graph.triples
-        if t.predicate == RDF_TYPE
-        and isinstance(t.object, Iri)
-        and t.object in PHASE_CLASS_TO_KIND
-    }
+    phase_nodes = set().union(*(typed.get(cls, ()) for cls in PHASE_CLASS_TO_KIND))
     for phase_ref in results_by_phase:
         if phase_ref not in phase_nodes:
             raise SchemaError("result references a phase that does not exist", phase_ref)
@@ -284,33 +290,33 @@ def graph_to_kb(graph: TripleGraph, taxonomy: Taxonomy | None = None) -> Knowled
     studies = []
     for node in study_nodes:
         participants = tuple(
-            _read_participant(view, p) for p in view.objects(node, vocab.HAS_PARTICIPANT)
+            _read_participant(store, p) for p in store.objects(node, vocab.HAS_PARTICIPANT)
         )
-        outcomes = tuple(view.objects(node, vocab.HAS_OUTCOME))
+        outcomes = tuple(store.objects(node, vocab.HAS_OUTCOME))
         phases = tuple(
             sorted(
-                (phase_of(p) for p in view.objects(node, vocab.HAS_PHASE)),
+                (phase_of(p) for p in store.objects(node, vocab.HAS_PHASE)),
                 key=lambda ph: ph.position,
             )
         )
         items = []
-        for item_node in view.objects(node, vocab.HAS_MBD_ITEM):
+        for item_node in store.objects(node, vocab.HAS_MBD_ITEM):
             item_phases = tuple(
                 sorted(
-                    (phase_of(p) for p in view.objects(item_node, vocab.HAS_PHASE)),
+                    (phase_of(p) for p in store.objects(item_node, vocab.HAS_PHASE)),
                     key=lambda ph: ph.position,
                 )
             )
             items.append(
                 MBDItem(
                     id=item_node,
-                    subject=view.one(item_node, vocab.HAS_PARTICIPANT),
-                    setting=view.one(item_node, vocab.HAS_SETTING),
-                    outcome=view.one(item_node, vocab.HAS_OUTCOME),
+                    subject=store.one(item_node, vocab.HAS_PARTICIPANT),
+                    setting=store.one(item_node, vocab.HAS_SETTING),
+                    outcome=store.one(item_node, vocab.HAS_OUTCOME),
                     phases=item_phases,
                 )
             )
-        item_type = view.one(node, vocab.HAS_MBD_ITEM_TYPE)
+        item_type = store.one(node, vocab.HAS_MBD_ITEM_TYPE)
         if item_type is not None and not isinstance(item_type, Iri):
             raise SchemaError("hasMBDItemType must name a class", node)
         results = tuple(
@@ -332,16 +338,16 @@ def graph_to_kb(graph: TripleGraph, taxonomy: Taxonomy | None = None) -> Knowled
                 mbd_items=tuple(items),
                 mbd_item_type=item_type,
                 results=results,
-                asserted_class=_asserted_design(view, node, taxonomy),
+                asserted_class=_asserted_design(store, node, taxonomy),
             )
         )
-    return KnowledgeBase(graph=graph, taxonomy=taxonomy, studies=tuple(studies))
+    return KnowledgeBase(graph=graph, taxonomy=taxonomy, store=store, studies=tuple(studies))
 
 
 def validate_kb(kb: KnowledgeBase) -> list[Violation]:
     out: list[Violation] = []
     for study in kb.studies:
-        out.extend(validate_study(study, kb.taxonomy))
+        out.extend(validate_study(study))
     return out
 
 
@@ -350,11 +356,7 @@ def validate_kb(kb: KnowledgeBase) -> list[Violation]:
 
 def kb_to_graph(kb: KnowledgeBase) -> TripleGraph:
     """Asserted triples, plus inferred type triples when materialized."""
-    graph = TripleGraph(prefix_table=dict(kb.graph.prefix_table))
-    graph.triples = set(kb.graph.triples)
-    if kb.materialized:
-        graph.triples |= kb.inferred
-    return graph
+    return TripleGraph(prefix_table=dict(kb.graph.prefix_table), triples=kb.all_triples())
 
 
 def study_to_triples(study: Study) -> set[Triple]:
@@ -436,13 +438,13 @@ class KbStats:
 
 
 def kb_stats(kb: KnowledgeBase) -> KbStats:
-    """Exact counts over the serialized (asserted + inferred) graph.
+    """Exact counts over the kb's asserted and inferred triples.
     Individuals are IRI/blank nodes occurring in individual positions:
     subjects, plus non-class objects of non-type triples."""
-    graph = kb_to_graph(kb)
     individuals: set[Term] = set()
     per_class: dict[str, int] = {}
-    for t in graph.triples:
+    store = kb.index()
+    for t in store.all:
         if isinstance(t.subject, (Iri, BlankNode)):
             individuals.add(t.subject)
         if t.predicate == RDF_TYPE:
@@ -455,7 +457,7 @@ def kb_stats(kb: KnowledgeBase) -> KbStats:
                 individuals.add(t.object)
     return KbStats(
         study_count=len(kb.studies),
-        triple_count=len(graph.triples),
+        triple_count=len(store.all),
         individual_count=len(individuals),
         per_class_counts=dict(sorted(per_class.items())),
     )

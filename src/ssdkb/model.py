@@ -9,7 +9,6 @@ from enum import Enum
 from typing import Optional
 
 from . import vocab
-from .taxonomy import Taxonomy
 from .terms import Iri, Term, term_sort_key
 
 
@@ -182,7 +181,7 @@ def _check_age(age: AgeDescription, subject: Term, out: list[Violation]) -> None
         out.append(Violation("MonthsOutOfRange", subject, f"negative years {age.years}"))
 
 
-def validate_study(study: Study, taxonomy: Taxonomy) -> list[Violation]:
+def validate_study(study: Study) -> list[Violation]:
     """All structural violations of the study, sorted for determinism.
     An empty list means the study satisfies every model invariant."""
     out: list[Violation] = []

@@ -301,7 +301,7 @@ def _resolved(pattern: TriplePattern, binding: dict):
 
 def _sort_key_for(term: Term) -> tuple:
     if isinstance(term, Literal) and term.datatype in ("integer", "decimal"):
-        return (0, term.numeric())
+        return (0, term.as_decimal())
     return (1,) + term_sort_key(term)
 
 

@@ -44,7 +44,7 @@ class Taxonomy:
     def _check_acyclic(self) -> None:
         seen: dict[Iri, int] = {}  # 1 = on stack, 2 = done
 
-        def visit(node: Iri, stack: list[Iri]) -> None:
+        def visit(node: Iri) -> None:
             state = seen.get(node)
             if state == 1:
                 raise CycleError(f"subclass cycle through {node}")
@@ -52,11 +52,11 @@ class Taxonomy:
                 return
             seen[node] = 1
             for parent in self._parents[node]:
-                visit(parent, stack + [node])
+                visit(parent)
             seen[node] = 2
 
         for cls in self.classes:
-            visit(cls, [])
+            visit(cls)
 
     def register(self, name: Iri, parents: set[Iri] | frozenset[Iri]) -> "Taxonomy":
         """Return a taxonomy extended with `name` as a subclass of `parents`."""

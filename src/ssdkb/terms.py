@@ -53,9 +53,6 @@ class Literal:
     def as_decimal(self) -> Decimal:
         return Decimal(self.lexical)
 
-    def numeric(self) -> Decimal:
-        return Decimal(self.lexical)
-
     def __str__(self) -> str:
         if self.datatype == "string":
             escaped = self.lexical.replace("\\", "\\\\").replace('"', '\\"')

@@ -133,6 +133,13 @@ def test_query_bad_expression(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_query_deep_expression_exits_two(capsys):
+    deep = "(" * 3000 + "Result" + ")" * 3000
+    assert main(["query", "--dl", "-e", deep, fixture("fig3.ttl")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: expression nested deeper than")
+
+
 def test_query_requires_mode(capsys):
     assert main(["query", "-e", "Result", fixture("fig3.ttl")]) == 2
 

@@ -9,6 +9,7 @@ from ssdkb.dlquery import (
     DataSome,
     DlEvalError,
     DlSyntaxError,
+    MAX_DEPTH,
     NamedClass,
     OneOf,
     Some,
@@ -69,11 +70,28 @@ def test_parse_facet_operators():
         "years some xsd:int[<]",
         "(Result",
         "",
+        pytest.param("(" * 3000 + "Result" + ")" * 3000, id="parens-3000-deep"),
+        pytest.param("hasPhase some (" * 3000 + "Phase" + ")" * 3000, id="some-3000-deep"),
     ],
 )
 def test_syntax_errors(text):
     with pytest.raises(DlSyntaxError):
         parse_dl_query(text)
+
+
+def test_nesting_depth_limit(fig3_mat):
+    def nested(levels):
+        return "hasPhase some (" * levels + "Phase" + ")" * levels
+
+    assert eval_dl_query(parse_dl_query(nested(MAX_DEPTH)), fig3_mat) == set()
+    assert names(eval_dl_query(parse_dl_query(nested(1)), fig3_mat)) == {"ssd01"}
+    with pytest.raises(DlSyntaxError, match=f"nested deeper than {MAX_DEPTH} levels"):
+        parse_dl_query(nested(MAX_DEPTH + 1))
+    # a flat conjunction is not nesting, however long
+    chain = " and ".join(["Result"] * 3000)
+    assert len(eval_dl_query(parse_dl_query(chain), fig3_mat)) == 6
+    inner = " and ".join(["Result"] * 3000)
+    assert len(eval_dl_query(parse_dl_query(f"Result and ({inner})"), fig3_mat)) == 6
 
 
 def test_eval_results_of_phase(fig3_mat):

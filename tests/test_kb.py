@@ -1,3 +1,4 @@
+from collections import Counter
 from decimal import Decimal
 
 import pytest
@@ -5,7 +6,16 @@ import pytest
 from conftest import load_kb
 from ssdkb import vocab
 from ssdkb.classify import materialize_types
-from ssdkb.kb import SchemaError, empty_kb, graph_to_kb, kb_stats, kb_to_graph, validate_kb
+from ssdkb.generate import GenProfile, generate_studies
+from ssdkb.kb import (
+    SchemaError,
+    TripleIndex,
+    empty_kb,
+    graph_to_kb,
+    kb_stats,
+    kb_to_graph,
+    validate_kb,
+)
 from ssdkb.model import PhaseKind, age_in_months
 from ssdkb.terms import RDF_TYPE, aut, local_name, ssd
 from ssdkb.turtle import Triple, parse_turtle
@@ -96,6 +106,33 @@ def test_kb_to_graph_asserted_only_until_materialized(fig3_kb):
     assert [s.id for s in again.studies] == [s.id for s in mat.studies]
     assert again.studies[0].phases == mat.studies[0].phases
     assert again.studies[0].results == mat.studies[0].results
+
+
+def _tables(store):
+    """Every table of a store, with each list compared as a multiset."""
+    lists = [store.by_p, store.by_po, store.by_sp]
+    return (
+        Counter(store.all),
+        [{key: Counter(found) for key, found in table.items()} for table in lists],
+        store.type_index,
+        store.individual_iris,
+    )
+
+
+def test_materialize_extends_the_store_and_leaves_the_parent():
+    kb = generate_studies(30, GenProfile(seed=3))
+    asserted = _tables(TripleIndex(kb.graph.triples))
+    assert _tables(kb.index()) == asserted
+
+    mat = materialize_types(kb)
+    assert mat.inferred
+    assert Counter(kb.index().all) == Counter(kb.graph.triples)
+    assert _tables(kb.index()) == asserted
+    union = kb.graph.triples | mat.inferred
+    assert Counter(mat.index().all) == Counter(union)
+    assert _tables(mat.index()) == _tables(TripleIndex(union))
+    assert mat.index() is mat.index()
+    assert _tables(materialize_types(mat).index()) == _tables(mat.index())
 
 
 def test_fig3_stats(fig3_kb):

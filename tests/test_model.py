@@ -16,10 +16,7 @@ from ssdkb.model import (
     age_in_months,
     validate_study,
 )
-from ssdkb.taxonomy import core_taxonomy
 from ssdkb.terms import aut, ssd
-
-TAX = core_taxonomy()
 
 
 def phase(n, kind, types=()):
@@ -51,7 +48,7 @@ def test_age_in_months(age, expected):
 
 
 def test_valid_ab_study_has_no_violations():
-    assert validate_study(simple_ab(), TAX) == []
+    assert validate_study(simple_ab()) == []
 
 
 def test_alternating_phase_needs_two_treatments():
@@ -61,7 +58,7 @@ def test_alternating_phase_needs_two_treatments():
             phase(2, PhaseKind.ALTERNATING_INTERVENTION, [aut("weekendInterview")]),
         )
     )
-    codes = [v.code for v in validate_study(study, TAX)]
+    codes = [v.code for v in validate_study(study)]
     assert codes == ["AlternatingNeedsTwoTreatments"]
 
 
@@ -77,7 +74,7 @@ def test_mbd_needs_two_items():
         ),
     )
     study = Study(id=ssd("m1"), mbd_items=(item,), mbd_item_type=vocab.SIMPLE_DESIGN)
-    codes = [v.code for v in validate_study(study, TAX)]
+    codes = [v.code for v in validate_study(study)]
     assert "MBDNeedsTwoItems" in codes
 
 
@@ -93,7 +90,7 @@ def test_position_gaps_flagged():
             ),
         )
     )
-    codes = [v.code for v in validate_study(study, TAX)]
+    codes = [v.code for v in validate_study(study)]
     assert codes == ["PhasePositionsNotContiguous"]
 
 
@@ -104,7 +101,7 @@ def test_follow_up_must_be_last():
             phase(2, PhaseKind.SIMPLE_INTERVENTION, [aut("weekendInterview")]),
         )
     )
-    codes = [v.code for v in validate_study(study, TAX)]
+    codes = [v.code for v in validate_study(study)]
     assert "FollowUpNotFinal" in codes
 
 
@@ -115,13 +112,13 @@ def test_baseline_phase_with_treatment():
             phase(2, PhaseKind.SIMPLE_INTERVENTION, [aut("weekendInterview")]),
         )
     )
-    codes = [v.code for v in validate_study(study, TAX)]
+    codes = [v.code for v in validate_study(study)]
     assert codes == ["BaselineHasTreatment"]
 
 
 def test_empty_study_flagged():
     study = Study(id=ssd("s0"))
-    codes = [v.code for v in validate_study(study, TAX)]
+    codes = [v.code for v in validate_study(study)]
     assert codes == ["EmptyStudy"]
 
 
@@ -132,14 +129,14 @@ def test_diagnosis_after_current_age():
         diagnosed_at_age=AgeDescription(years=5),
     )
     study = simple_ab(participants=(participant,))
-    codes = [v.code for v in validate_study(study, TAX)]
+    codes = [v.code for v in validate_study(study)]
     assert codes == ["DiagnosedAfterCurrentAge"]
 
 
 def test_months_out_of_range():
     participant = Participant(id=ssd("kid"), age=AgeDescription(years=4, months=14))
     study = simple_ab(participants=(participant,))
-    codes = [v.code for v in validate_study(study, TAX)]
+    codes = [v.code for v in validate_study(study)]
     assert codes == ["MonthsOutOfRange"]
 
 
@@ -160,18 +157,18 @@ def test_result_constraints():
             _result(2, ssd("p2"), aut("weekendInterview")),
         )
     )
-    assert validate_study(study, TAX) == []
+    assert validate_study(study) == []
 
     dangling = simple_ab(results=(_result(1, ssd("missing")),))
-    assert [v.code for v in validate_study(dangling, TAX)] == ["ResultPhaseDangling"]
+    assert [v.code for v in validate_study(dangling)] == ["ResultPhaseDangling"]
 
     on_baseline = simple_ab(results=(_result(1, ssd("p1"), aut("weekendInterview")),))
-    assert [v.code for v in validate_study(on_baseline, TAX)] == [
+    assert [v.code for v in validate_study(on_baseline)] == [
         "BaselineResultHasTreatment"
     ]
 
     mismatched = simple_ab(results=(_result(1, ssd("p2"), aut("otherThing")),))
-    assert [v.code for v in validate_study(mismatched, TAX)] == [
+    assert [v.code for v in validate_study(mismatched)] == [
         "ResultTreatmentMismatch"
     ]
 
@@ -184,7 +181,7 @@ def test_result_on_alternating_phase_accepts_any_of_its_types():
         ),
         results=(_result(1, ssd("p2"), aut("t2")),),
     )
-    assert validate_study(study, TAX) == []
+    assert validate_study(study) == []
 
 
 # order-independence: permuting phase and result insertion order must not
@@ -220,14 +217,14 @@ def test_validation_order_independent(study_parts, rng):
     rng.shuffle(shuffled_phases)
     rng.shuffle(shuffled_results)
     study_b = Study(id=ssd("s"), phases=tuple(shuffled_phases), results=tuple(shuffled_results))
-    assert validate_study(study_a, TAX) == validate_study(study_b, TAX)
+    assert validate_study(study_a) == validate_study(study_b)
 
 
 @given(_random_study())
 def test_valid_studies_have_contiguous_positions(study_parts):
     phases, results = study_parts
     study = Study(id=ssd("s"), phases=tuple(phases), results=tuple(results))
-    if not validate_study(study, TAX):
+    if not validate_study(study):
         assert sorted(p.position for p in study.phases) == list(
             range(1, len(study.phases) + 1)
         )
