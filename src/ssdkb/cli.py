@@ -7,7 +7,10 @@ Exit codes: 0 success, 1 validation violations, 2 parse/usage errors.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from collections import Counter
+from dataclasses import replace
 
 from .bench import DEFAULT_DL_QUERIES, DEFAULT_SPARQL_QUERIES, load_query_dir, run_bench
 from .classify import ClassificationError, classify_study, materialize_types
@@ -15,7 +18,7 @@ from .dlquery import DlEvalError, DlSyntaxError, eval_dl_query, parse_dl_query
 from .generate import GenProfile, ProfileError, generate_graph
 from .kb import KnowledgeBase, SchemaError, graph_to_kb, kb_stats, validate_kb
 from .sparql import SparqlSyntaxError, eval_sparql, parse_sparql
-from .terms import local_name, term_sort_key
+from .terms import Iri, local_name
 from .turtle import TurtleSyntaxError, parse_turtle, serialize_turtle
 
 
@@ -30,6 +33,8 @@ def _cmd_validate(args) -> int:
     violations = validate_kb(kb)
     for v in violations:
         print(f"{v.code} {v.subject} {v.message}")
+    for code, count in sorted(Counter(v.code for v in violations).items()):
+        print(f"{code}: {count}", file=sys.stderr)
     return 1 if violations else 0
 
 
@@ -61,10 +66,8 @@ def _cmd_query(args) -> int:
     kb = materialize_types(_load_kb(args.kbfile))
     if args.dl:
         expr = parse_dl_query(text)
-        members = sorted(eval_dl_query(expr, kb), key=term_sort_key)
+        members = sorted(eval_dl_query(expr, kb))
         if args.format == "json":
-            import json
-
             print(json.dumps([_display(m) for m in members], indent=2))
         else:
             for member in members:
@@ -80,16 +83,12 @@ def _cmd_query(args) -> int:
 
 
 def _display(term) -> str:
-    from .terms import Iri
-
     return local_name(term) if isinstance(term, Iri) else str(term)
 
 
 def _cmd_gen(args) -> int:
     profile = GenProfile.from_file(args.profile) if args.profile else GenProfile()
     if args.seed is not None:
-        from dataclasses import replace
-
         profile = replace(profile, seed=args.seed)
     text = serialize_turtle(generate_graph(args.count, profile))
     with open(args.output, "w", encoding="utf-8") as handle:

@@ -274,11 +274,11 @@ class DlEvaluator:
         if isinstance(expr, Some):
             prop = self.resolve_property(expr.prop)
             members = self.eval(expr.filler)
-            return {t.subject for t in self.by_predicate.get(prop, []) if t.object in members}
+            return {s for s, _, o in self.by_predicate.get(prop, []) if o in members}
         if isinstance(expr, Value):
             prop = self.resolve_property(expr.prop)
             individual = self.resolve_individual(expr.individual)
-            return {t.subject for t in self.by_predicate.get(prop, []) if t.object == individual}
+            return {s for s, _, o in self.by_predicate.get(prop, []) if o == individual}
         if isinstance(expr, OneOf):
             return {self.resolve_individual(name) for name in expr.individuals}
         if isinstance(expr, DataSome):

@@ -1,66 +1,52 @@
 """Graph isomorphism for triple sets: equality up to a bijection of
-blank-node labels. Color refinement narrows candidates, backtracking
-settles symmetric leftovers."""
+blank-node labels. Color refinement narrows candidates; a depth-first search
+with an explicit stack, not one frame per label, settles symmetric leftovers."""
 
 from __future__ import annotations
 
-from .terms import BlankNode, Term, term_sort_key
+from .terms import BlankNode
 from .turtle import Triple, TripleGraph
 
 
-def _blank_labels(triples: set[Triple]) -> set[str]:
-    labels = set()
+def _split(triples: set[Triple]) -> tuple[set[Triple], dict[str, list[tuple]]]:
+    """The ground triples, and each blank label's edges as
+    (direction, predicate, neighbor is blank, neighbor label or term)."""
+    ground: set[Triple] = set()
+    adjacency: dict[str, list[tuple]] = {}
     for t in triples:
-        if isinstance(t.subject, BlankNode):
-            labels.add(t.subject.label)
-        if isinstance(t.object, BlankNode):
-            labels.add(t.object.label)
-    return labels
-
-
-def _ground_key(term: Term) -> tuple:
-    if isinstance(term, BlankNode):
-        return ("_",)
-    return term_sort_key(term)
-
-
-def _refine_colors(triples: set[Triple], labels: set[str], rounds: int) -> dict[str, int]:
-    # adjacency: label -> [(direction, predicate, neighbor-label or ground key)]
-    adjacency: dict[str, list[tuple]] = {label: [] for label in labels}
-    for t in triples:
-        s_blank = isinstance(t.subject, BlankNode)
-        o_blank = isinstance(t.object, BlankNode)
+        s, p, o = t
+        s_blank, o_blank = isinstance(s, BlankNode), isinstance(o, BlankNode)
         if s_blank:
-            other = t.object.label if o_blank else _ground_key(t.object)
-            adjacency[t.subject.label].append(("out", t.predicate.value, o_blank, other))
+            adjacency.setdefault(s.label, []).append(("out", p, o_blank, o.label if o_blank else o))
         if o_blank:
-            other = t.subject.label if s_blank else _ground_key(t.subject)
-            adjacency[t.object.label].append(("in", t.predicate.value, s_blank, other))
+            adjacency.setdefault(o.label, []).append(("in", p, s_blank, s.label if s_blank else s))
+        if not s_blank and not o_blank:
+            ground.add(t)
+    return ground, adjacency
 
-    colors = {label: 0 for label in labels}
-    for _ in range(rounds):
-        new_colors = {}
-        for label in labels:
-            signature = tuple(
-                sorted(
-                    (direction, pred, ("b", colors[other]) if is_blank else ("g", other))
-                    for direction, pred, is_blank, other in adjacency[label]
+
+def _refine_colors(adjacency: dict[str, list[tuple]]) -> dict[str, int]:
+    """Colors refined until the partition into color classes stops
+    splitting. A round only splits classes, so one that keeps their number
+    keeps the partition."""
+    colors = {label: 0 for label in adjacency}
+    classes = 1
+    while True:
+        new_colors = {
+            label: hash(
+                tuple(
+                    sorted(
+                        (direction, pred, ("b", colors[other]) if is_blank else ("g", other))
+                        for direction, pred, is_blank, other in edges
+                    )
                 )
             )
-            new_colors[label] = hash(signature)
-        if new_colors == colors:
-            break
-        colors = new_colors
-    return colors
-
-
-def _substitute(triples: set[Triple], mapping: dict[str, str]) -> set[Triple]:
-    def sub(term: Term) -> Term:
-        if isinstance(term, BlankNode):
-            return BlankNode(mapping[term.label])
-        return term
-
-    return {Triple(sub(t.subject), t.predicate, sub(t.object)) for t in triples}
+            for label, edges in adjacency.items()
+        }
+        new_classes = len(set(new_colors.values()))
+        if new_classes == classes:
+            return colors
+        colors, classes = new_colors, new_classes
 
 
 def isomorphic(a: TripleGraph | set[Triple], b: TripleGraph | set[Triple]) -> bool:
@@ -70,21 +56,15 @@ def isomorphic(a: TripleGraph | set[Triple], b: TripleGraph | set[Triple]) -> bo
     if len(ta) != len(tb):
         return False
 
-    ground_a = {t for t in ta if not _blank_labels({t})}
-    ground_b = {t for t in tb if not _blank_labels({t})}
-    if ground_a != ground_b:
+    ground_a, adjacency = _split(ta)
+    ground_b, adjacency_b = _split(tb)
+    if ground_a != ground_b or len(adjacency) != len(adjacency_b):
         return False
+    if not adjacency:
+        return True
 
-    labels_a = _blank_labels(ta)
-    labels_b = _blank_labels(tb)
-    if len(labels_a) != len(labels_b):
-        return False
-    if not labels_a:
-        return ta == tb
-
-    rounds = len(labels_a) + 1
-    colors_a = _refine_colors(ta, labels_a, rounds)
-    colors_b = _refine_colors(tb, labels_b, rounds)
+    colors_a = _refine_colors(adjacency)
+    colors_b = _refine_colors(adjacency_b)
     if sorted(colors_a.values()) != sorted(colors_b.values()):
         return False
 
@@ -92,21 +72,41 @@ def isomorphic(a: TripleGraph | set[Triple], b: TripleGraph | set[Triple]) -> bo
     for label, color in colors_b.items():
         by_color_b.setdefault(color, []).append(label)
 
-    order = sorted(labels_a, key=lambda l: (len(by_color_b[colors_a[l]]), l))
+    # singleton classes first: their one candidate is mapped directly
+    order = sorted(adjacency, key=lambda l: (len(by_color_b[colors_a[l]]), l))
+    mapping: dict[str, str] = {}
 
-    def backtrack(idx: int, mapping: dict[str, str], used: set[str]) -> bool:
-        if idx == len(order):
-            return _substitute(ta, mapping) == tb
-        label = order[idx]
-        for candidate in by_color_b[colors_a[label]]:
-            if candidate in used:
-                continue
-            mapping[label] = candidate
-            used.add(candidate)
-            if backtrack(idx + 1, mapping, used):
-                return True
-            del mapping[label]
-            used.remove(candidate)
-        return False
+    def consistent(label: str) -> bool:
+        """Each edge of `label` to a ground term or a mapped label maps into `tb`."""
+        node = BlankNode(mapping[label])
+        for direction, pred, is_blank, other in adjacency[label]:
+            if is_blank:
+                if other not in mapping:
+                    continue
+                other = BlankNode(mapping[other])
+            image = Triple(node, pred, other) if direction == "out" else Triple(other, pred, node)
+            if image not in tb:
+                return False
+        return True
 
-    return backtrack(0, {}, set())
+    # stack[i] holds order[i]'s untried candidates. A full mapping has checked
+    # each triple of `ta` with its last blank node, so it maps `ta` onto `tb`.
+    used: set[str] = set()
+    stack = [iter(by_color_b[colors_a[order[0]]])]
+    while stack:
+        label = order[len(stack) - 1]
+        used.discard(mapping.pop(label, None))
+        for candidate in stack[-1]:
+            if candidate not in used:
+                mapping[label] = candidate
+                if consistent(label):
+                    used.add(candidate)
+                    break
+                del mapping[label]
+        else:
+            stack.pop()
+            continue
+        if len(stack) == len(order):
+            return True
+        stack.append(iter(by_color_b[colors_a[order[len(stack)]]]))
+    return False

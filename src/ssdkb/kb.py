@@ -34,7 +34,6 @@ from .terms import (
     Term,
     integer,
     local_name,
-    term_sort_key,
 )
 from .turtle import Triple, TripleGraph
 
@@ -61,12 +60,13 @@ class TripleIndex:
         self.type_index: dict[Iri, set[Term]] = {}
         self.individual_iris: set[str] = set()
         for t in self.all:
-            self.by_p.setdefault(t.predicate, []).append(t)
-            self.by_po.setdefault((t.predicate, t.object), []).append(t)
-            self.by_sp.setdefault((t.subject, t.predicate), []).append(t)
-            if t.predicate == RDF_TYPE and isinstance(t.object, Iri):
-                self.type_index.setdefault(t.object, set()).add(t.subject)
-            for term in (t.subject, t.object):
+            s, p, o = t
+            self.by_p.setdefault(p, []).append(t)
+            self.by_po.setdefault((p, o), []).append(t)
+            self.by_sp.setdefault((s, p), []).append(t)
+            if p == RDF_TYPE and isinstance(o, Iri):
+                self.type_index.setdefault(o, set()).add(s)
+            for term in (s, o):
                 if isinstance(term, Iri):
                     self.individual_iris.add(term.value)
 
@@ -85,32 +85,28 @@ class TripleIndex:
         return store
 
     def candidates(self, subject, predicate, obj) -> list[Triple]:
-        """Triples matching the given constants (None = wildcard)."""
-        if predicate is not None:
-            if subject is not None:
-                found = self.by_sp.get((subject, predicate), [])
-            elif obj is not None:
-                found = self.by_po.get((predicate, obj), [])
-            else:
-                found = self.by_p.get(predicate, [])
-        else:
-            found = self.all
-        return [
-            t
-            for t in found
-            if (subject is None or t.subject == subject)
-            and (obj is None or t.object == obj)
-        ]
+        """Triples matching the given constants (None = wildcard). The list
+        may be one of the store's own; callers must not change it."""
+        if predicate is None:
+            return [
+                t
+                for t in self.all
+                if (subject is None or t.subject == subject) and (obj is None or t.object == obj)
+            ]
+        if subject is None:
+            if obj is None:
+                return self.by_p.get(predicate, [])
+            return self.by_po.get((predicate, obj), [])
+        found = self.by_sp.get((subject, predicate), [])
+        return found if obj is None else [t for t in found if t.object == obj]
 
     def objects(self, subject: Term, predicate: Iri) -> list[Term]:
         """Objects of `subject`'s `predicate` triples, in term order."""
-        found = [t.object for t in self.by_sp.get((subject, predicate), ())]
-        found.sort(key=term_sort_key)
-        return found
+        return sorted(t.object for t in self.by_sp.get((subject, predicate), ()))
 
     def one(self, subject: Term, predicate: Iri) -> Term | None:
         found = self.by_sp.get((subject, predicate), ())
-        return min((t.object for t in found), key=term_sort_key, default=None)
+        return min((t.object for t in found), default=None)
 
 
 def _joined(old: dict, new: dict, join) -> dict:
@@ -265,8 +261,7 @@ def graph_to_kb(graph: TripleGraph, taxonomy: Taxonomy | None = None) -> Knowled
             if taxonomy.contains(cls)
             and taxonomy.is_subclass_of(cls, vocab.SINGLE_SUBJECT_DESIGN)
             for node in members
-        },
-        key=term_sort_key,
+        }
     )
 
     phase_cache: dict[Term, Phase] = {}
@@ -326,7 +321,7 @@ def graph_to_kb(graph: TripleGraph, taxonomy: Taxonomy | None = None) -> Knowled
                     for phase in (phases + tuple(p for it in items for p in it.phases))
                     for r in results_by_phase.get(phase.id, [])
                 ),
-                key=lambda r: (r.instant, term_sort_key(r.id)),
+                key=lambda r: (r.instant, r.id),
             )
         )
         studies.append(

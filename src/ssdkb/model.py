@@ -9,7 +9,7 @@ from enum import Enum
 from typing import Optional
 
 from . import vocab
-from .terms import Iri, Term, term_sort_key
+from .terms import Iri, Term
 
 
 class PhaseKind(Enum):
@@ -264,5 +264,5 @@ def validate_study(study: Study) -> list[Violation]:
                     )
                 )
 
-    out.sort(key=lambda v: (v.code, term_sort_key(v.subject), v.message))
+    out.sort(key=lambda v: (v.code, v.subject, v.message))
     return out

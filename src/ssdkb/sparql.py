@@ -23,7 +23,6 @@ from .terms import (
     RDF_TYPE,
     Term,
     local_name,
-    term_sort_key,
     unescape,
 )
 
@@ -302,7 +301,7 @@ def _resolved(pattern: TriplePattern, binding: dict):
 def _sort_key_for(term: Term) -> tuple:
     if isinstance(term, Literal) and term.datatype in ("integer", "decimal"):
         return (0, term.as_decimal())
-    return (1,) + term_sort_key(term)
+    return (1, term)
 
 
 def eval_sparql(query: SparqlQuery, kb: KnowledgeBase) -> BindingTable:
@@ -318,16 +317,13 @@ def eval_sparql(query: SparqlQuery, kb: KnowledgeBase) -> BindingTable:
             remaining, key=lambda p: len(index.candidates(*_resolved(p, rep)))
         )
         remaining.remove(pattern)
+        slots = (pattern.subject, pattern.predicate, pattern.object)
         next_bindings = []
         for binding in bindings:
             for t in index.candidates(*_resolved(pattern, binding)):
                 extended = dict(binding)
                 ok = True
-                for slot, value in (
-                    (pattern.subject, t.subject),
-                    (pattern.predicate, t.predicate),
-                    (pattern.object, t.object),
-                ):
+                for slot, value in zip(slots, t):
                     if isinstance(slot, Var):
                         bound = extended.get(slot.name)
                         if bound is None:
@@ -353,7 +349,7 @@ def eval_sparql(query: SparqlQuery, kb: KnowledgeBase) -> BindingTable:
 
         paired = sorted(
             zip(rows, bindings),
-            key=lambda rb: (key(rb), tuple(term_sort_key(t) for t in rb[0])),
+            key=lambda rb: (key(rb), rb[0]),
         )
         if reverse:
             # reverse only the order key, keep the lexicographic tiebreak stable
@@ -364,7 +360,7 @@ def eval_sparql(query: SparqlQuery, kb: KnowledgeBase) -> BindingTable:
             )
         rows = [row for row, _ in paired]
     else:
-        rows = sorted(rows, key=lambda row: tuple(term_sort_key(t) for t in row))
+        rows.sort()
 
     if query.limit is not None:
         rows = rows[: query.limit]

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Decimal
+from operator import itemgetter
 from typing import Union
 
 SSD_NS = "http://bdi.si.ehu.es/bdi/ontologies/SSDOnt/SSDOnt#"
@@ -20,32 +20,60 @@ DEFAULT_PREFIXES: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class Iri:
-    value: str
+class _Tagged(tuple):
+    """Base of the term and triple types: tuples, so hashing, equality and
+    ordering run in C. A term's leading kind tag keeps the types apart and
+    makes tuple order the total order over terms: IRIs, then blank nodes,
+    then literals by datatype and then lexical form. `_fields` names the
+    constructor's arguments; copy and pickle rebuild through it."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+class Iri(_Tagged):
+    __slots__ = ()
+    _fields = ("value",)
+    value = property(itemgetter(1))
+
+    def __new__(cls, value: str):
+        return tuple.__new__(cls, (0, value))
 
     def __str__(self) -> str:
         return f"<{self.value}>"
 
 
-@dataclass(frozen=True)
-class BlankNode:
-    label: str
+class BlankNode(_Tagged):
+    __slots__ = ()
+    _fields = ("label",)
+    label = property(itemgetter(1))
+
+    def __new__(cls, label: str):
+        return tuple.__new__(cls, (1, label))
 
     def __str__(self) -> str:
         return f"_:{self.label}"
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(_Tagged):
     """A literal with its lexical form and a coarse datatype tag."""
 
-    lexical: str
-    datatype: str  # "integer" | "decimal" | "string"
+    __slots__ = ()
+    _fields = ("lexical", "datatype")
+    datatype = property(itemgetter(1))  # "integer" | "decimal" | "string"
+    lexical = property(itemgetter(2))
 
-    def __post_init__(self) -> None:
-        if self.datatype not in ("integer", "decimal", "string"):
-            raise ValueError(f"unknown literal datatype: {self.datatype}")
+    def __new__(cls, lexical: str, datatype: str):
+        if datatype not in ("integer", "decimal", "string"):
+            raise ValueError(f"unknown literal datatype: {datatype}")
+        return tuple.__new__(cls, (2, datatype, lexical))
 
     def as_int(self) -> int:
         return int(self.lexical)
@@ -103,11 +131,3 @@ def local_name(iri: Iri) -> str:
             return value.rsplit(sep, 1)[1]
     return value
 
-
-def term_sort_key(term: Term) -> tuple:
-    """Total order over terms: IRIs, then blank nodes, then literals."""
-    if isinstance(term, Iri):
-        return (0, term.value)
-    if isinstance(term, BlankNode):
-        return (1, term.label)
-    return (2, term.datatype, term.lexical)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .terms import (
     DEFAULT_PREFIXES,
@@ -30,7 +31,7 @@ from .terms import (
     Literal,
     RDF_TYPE,
     Term,
-    term_sort_key,
+    _Tagged,
     unescape,
 )
 
@@ -42,15 +43,17 @@ class TurtleSyntaxError(Exception):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Triple:
-    subject: Term
-    predicate: Iri
-    object: Term
+class Triple(_Tagged):
+    __slots__ = ()
+    _fields = ("subject", "predicate", "object")
+    subject = property(itemgetter(0))
+    predicate = property(itemgetter(1))
+    object = property(itemgetter(2))
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.predicate, Iri):
-            raise ValueError(f"predicate must be an IRI, got {self.predicate!r}")
+    def __new__(cls, subject: Term, predicate: Iri, object: Term):
+        if not isinstance(predicate, Iri):
+            raise ValueError(f"predicate must be an IRI, got {predicate!r}")
+        return tuple.__new__(cls, (subject, predicate, object))
 
 
 @dataclass
@@ -240,15 +243,8 @@ def serialize_turtle(graph: TripleGraph) -> str:
     order. Re-parses to an isomorphic graph."""
     ns_to_label = _prefix_map(graph.prefix_table)
 
-    ordered = sorted(
-        graph.triples,
-        key=lambda t: (
-            term_sort_key(t.subject),
-            t.predicate != RDF_TYPE,  # rdf:type first within a subject block
-            term_sort_key(t.predicate),
-            term_sort_key(t.object),
-        ),
-    )
+    # rdf:type first within a subject block
+    ordered = sorted(graph.triples, key=lambda t: (t.subject, t.predicate != RDF_TYPE, t))
     bnode_map: dict[str, str] = {}
     for t in ordered:
         for term in (t.subject, t.object):
@@ -260,24 +256,22 @@ def serialize_turtle(graph: TripleGraph) -> str:
         for label in sorted(graph.prefix_table)
     ]
 
-    blocks: list[str] = []
-    i = 0
-    while i < len(ordered):
-        subject = ordered[i].subject
-        group = []
-        while i < len(ordered) and ordered[i].subject == subject:
-            group.append(ordered[i])
-            i += 1
-        subj_text = _render(subject, ns_to_label, bnode_map)
-        parts = []
-        for t in group:
-            pred_text = (
-                "a" if t.predicate == RDF_TYPE else _render(t.predicate, ns_to_label, bnode_map)
-            )
-            obj_text = _render(t.object, ns_to_label, bnode_map)
-            parts.append(f"{pred_text} {obj_text}")
-        body = f"{subj_text} " + " ;\n    ".join(parts) + " ."
-        blocks.append(body)
+    # each distinct term is rendered once per call
+    rendered: dict[Term, str] = {}
+
+    def render(term: Term) -> str:
+        text = rendered.get(term)
+        if text is None:
+            text = rendered[term] = _render(term, ns_to_label, bnode_map)
+        return text
+
+    blocks = []
+    for subject, group in itertools.groupby(ordered, key=itemgetter(0)):
+        parts = [
+            f"{'a' if t.predicate == RDF_TYPE else render(t.predicate)} {render(t.object)}"
+            for t in group
+        ]
+        blocks.append(f"{render(subject)} " + " ;\n    ".join(parts) + " .")
 
     text = "\n".join(lines)
     if blocks:

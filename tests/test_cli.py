@@ -12,7 +12,8 @@ def fixture(name):
 
 def test_validate_clean_file(capsys):
     assert main(["validate", fixture("fig3.ttl")]) == 0
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == ""
 
 
 def test_validate_broken_file(capsys):
@@ -20,6 +21,27 @@ def test_validate_broken_file(capsys):
     out = capsys.readouterr().out
     assert "AlternatingNeedsTwoTreatments" in out
     assert "bad01" in out
+
+
+def test_validate_counts_violations_per_code(tmp_path, capsys):
+    # a second alternating study, also with one treatment and a gap in its positions
+    second = """
+ssd:bad02 a ssd:AlternatingTreatmentDesign ;
+    ssd:hasPhase ssd:bad02_ph1 ;
+    ssd:hasPhase ssd:bad02_ph2 .
+ssd:bad02_ph1 a ssd:BaselinePhase ;
+    ssd:hasPosition 1 .
+ssd:bad02_ph2 a ssd:AlternatingInterventionPhase ;
+    ssd:hasPosition 3 ;
+    ssd:hasInterventionType aut:weekendInterview .
+"""
+    path = tmp_path / "two.ttl"
+    path.write_text((FIXTURES / "broken_alternating.ttl").read_text() + second)
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    codes = [line.split()[0] for line in captured.out.splitlines()]
+    assert codes == ["AlternatingNeedsTwoTreatments"] * 2 + ["PhasePositionsNotContiguous"]
+    assert captured.err == "AlternatingNeedsTwoTreatments: 2\nPhasePositionsNotContiguous: 1\n"
 
 
 def test_validate_missing_file(capsys):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import QUERIES, load_kb
+from conftest import QUERIES, edited_queries, load_kb
 from ssdkb.classify import materialize_types
 from ssdkb.dlquery import (
     And,
@@ -186,3 +186,12 @@ def test_conjunction_is_intersection(left, right):
     l = eval_dl_query(parse_dl_query(left), _FIG3)
     r = eval_dl_query(parse_dl_query(right), _FIG3)
     assert both == l & r
+
+
+@given(st.one_of(st.text(), edited_queries(".dl")))
+def test_parse_dl_query_is_total(text):
+    try:
+        expr = parse_dl_query(text)
+    except DlSyntaxError:
+        return
+    assert isinstance(expr, (NamedClass, And, Some, Value, OneOf, DataSome))

@@ -1,9 +1,10 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ssdkb.generate import GenProfile, generate_graph
 from ssdkb.isomorphism import isomorphic
 from ssdkb.terms import BlankNode, Iri, Literal
-from ssdkb.turtle import Triple
+from ssdkb.turtle import Triple, parse_turtle, serialize_turtle
 
 
 def iri(s):
@@ -100,3 +101,23 @@ def test_relabeling_preserves_isomorphism(graph, rng):
 
     relabeled = {Triple(sub(x.subject), x.predicate, sub(x.object)) for x in graph}
     assert isomorphic(graph, relabeled)
+
+
+def test_generated_graph_with_a_thousand_blank_nodes():
+    # 40 studies hold 992 blank nodes: once more than the interpreter's
+    # default recursion limit allows one stack frame per label
+    generated = generate_graph(40, GenProfile(seed=1))
+    parsed = parse_turtle(serialize_turtle(generated))
+    assert isomorphic(generated, parsed)
+    assert isomorphic(parsed, generated)
+    # swap the objects of two triples on different blank nodes: same size,
+    # same nodes and degrees, but no longer the same graph
+    a, b = sorted(
+        (x for x in parsed.triples if isinstance(x.subject, BlankNode) and isinstance(x.object, Literal)),
+    )[:2]
+    assert a.subject != b.subject and a.object != b.object
+    swapped = parsed.triples - {a, b} | {
+        Triple(a.subject, a.predicate, b.object),
+        Triple(b.subject, b.predicate, a.object),
+    }
+    assert not isomorphic(generated, swapped)

@@ -2,9 +2,12 @@ import json
 from decimal import Decimal
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import QUERIES
+from conftest import QUERIES, edited_queries
 from ssdkb.sparql import (
+    SparqlQuery,
     SparqlSyntaxError,
     TriplePattern,
     Var,
@@ -146,3 +149,12 @@ def test_escaped_string_literal_matches_turtle_literal():
     query = parse_sparql('SELECT ?s WHERE { ?s ssid:hasGender "a\\"b\\\\c" }')
     assert query.patterns[0].object == Literal('a"b\\c', "string")
     assert eval_sparql(query, kb).rows == [(ssd("x"),)]
+
+
+@given(st.one_of(st.text(), edited_queries(".rq")))
+def test_parse_sparql_is_total(text):
+    try:
+        query = parse_sparql(text)
+    except SparqlSyntaxError:
+        return
+    assert isinstance(query, SparqlQuery)
