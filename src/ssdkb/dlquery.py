@@ -13,8 +13,10 @@ Grammar (left-associative `and`):
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Union
 
 from . import vocab
@@ -206,22 +208,21 @@ def parse_dl_query(text: str) -> ClassExpr:
 
 # --- evaluation ---
 
-_OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "=": lambda a, b: a == b,
-}
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "=": operator.eq}
+# a literal's value, by its datatype (`Literal` is `(2, datatype, lexical)`)
+_NUMBER = {"integer": int, "decimal": Decimal}
 
 
 class DlEvaluator:
-    """Evaluates class expressions over the materialized triple set."""
+    """Evaluates class expressions against a kb's triple store (`kb.index()`),
+    asserted plus any inferred triples. `eval` reads the store's tables and
+    may return one of the store's own sets; `eval_dl_query` copies it."""
 
     def __init__(self, kb: KnowledgeBase):
         self.kb = kb
         index = kb.index()
         self.by_predicate = index.by_p
+        self.by_po = index.by_po
         self.type_index = index.type_index
         self.individuals = index.individual_iris
 
@@ -258,40 +259,48 @@ class DlEvaluator:
         return Iri(SSD_NS + name)
 
     def eval(self, expr: ClassExpr) -> set[Term]:
+        """The members of `expr`: a set that callers must not change."""
         if isinstance(expr, NamedClass):
-            cls = self.resolve_class(expr.name)
-            return set(self.type_index.get(cls, set()))
+            return self.type_index.get(self.resolve_class(expr.name), set())
         if isinstance(expr, And):
-            # a conjunction chain leans left; walk its spine, not the stack
-            rights = []
+            # a conjunction chain leans left; walk its spine, not the stack.
+            # Every conjunct is evaluated, so a bad name raises even after an
+            # empty one; intersecting smallest first touches the fewest members.
+            conjuncts = []
             while isinstance(expr, And):
-                rights.append(expr.right)
+                conjuncts.append(expr.right)
                 expr = expr.left
-            members = self.eval(expr)
-            for right in reversed(rights):
-                members &= self.eval(right)
-            return members
+            conjuncts.append(expr)
+            sets = sorted((self.eval(c) for c in reversed(conjuncts)), key=len)
+            return sets[0].intersection(*sets[1:])
         if isinstance(expr, Some):
             prop = self.resolve_property(expr.prop)
             members = self.eval(expr.filler)
-            return {s for s, _, o in self.by_predicate.get(prop, []) if o in members}
+            triples = self.by_predicate.get(prop, ())
+            # one lookup per filler member, or one pass over the property's
+            # triples, whichever touches fewer
+            if len(members) < len(triples):
+                by_po = self.by_po
+                return {s for m in members for s, _, _ in by_po.get((prop, m), ())}
+            return {s for s, _, o in triples if o in members}
         if isinstance(expr, Value):
             prop = self.resolve_property(expr.prop)
             individual = self.resolve_individual(expr.individual)
-            return {s for s, _, o in self.by_predicate.get(prop, []) if o == individual}
+            return {s for s, _, _ in self.by_po.get((prop, individual), ())}
         if isinstance(expr, OneOf):
             return {self.resolve_individual(name) for name in expr.individuals}
         if isinstance(expr, DataSome):
             prop = self.resolve_property(expr.prop)
-            compare = _OPS[expr.op]
+            compare, bound = _OPS[expr.op], expr.bound
             out = set()
-            for t in self.by_predicate.get(prop, []):
-                if isinstance(t.object, Literal) and t.object.datatype in ("integer", "decimal"):
-                    if compare(t.object.as_decimal(), expr.bound):
-                        out.add(t.subject)
+            for s, _, o in self.by_predicate.get(prop, ()):
+                number = _NUMBER.get(o[1]) if isinstance(o, Literal) else None
+                if number is not None and compare(number(o[2]), bound):
+                    out.add(s)
             return out
         raise TypeError(f"not a class expression: {expr!r}")
 
 
 def eval_dl_query(expr: ClassExpr, kb: KnowledgeBase) -> set[Term]:
-    return DlEvaluator(kb).eval(expr)
+    """The members of `expr` in `kb`, as a new set the caller owns."""
+    return set(DlEvaluator(kb).eval(expr))

@@ -1,6 +1,8 @@
-"""The DL and SPARQL engines agree on the fragment both can express: the
-members of DL `A and p some B` are the ?x that SPARQL
-`?x a A ; p ?y . ?y a B` binds, over one generated, materialized kb."""
+"""The DL and SPARQL engines agree on the fragment both can express, over
+one generated, materialized kb: the members of DL `A and p some B` are the
+?x that SPARQL `?x a A ; p ?y . ?y a B` binds, and the members of
+`A and p value c` or `A and p some {c1, c2}` are the ?x that
+`?x a A ; p c` binds for some listed c."""
 
 import pytest
 
@@ -24,6 +26,22 @@ NON_EMPTY = [
 EMPTY = [
     ("AB_Design", "hasMBDItem", "MBDItem"),
     ("Phase", "hasPhase", "Phase"),
+]
+# (A, p, objects): one object asks `p value c`, more ask `p some {c1, c2}`
+CONSTANTS = [
+    ("Participant", "hasCondition", ("autism",)),
+    ("AcrossSettingMBDItem", "hasSetting", ("school",)),
+    ("InterventionPhase", "hasInterventionType", ("aut:intv011",)),
+    ("SingleSubjectDesign", "hasOutcome", ("aut:outcome007",)),
+    ("Participant", "hasCondition", ("autism", "adhd")),
+    ("Phase", "hasInterventionType", ("aut:intv007", "aut:intv008")),
+    ("Result", "isResultOfPhase", ("study00005_ph2", "study00072_ph4")),
+    ("AB_Design", "hasOutcome", ("aut:outcome007", "aut:outcome012")),
+]
+EMPTY_CONSTANTS = [
+    ("BaselinePhase", "hasInterventionType", ("aut:intv007",)),
+    ("Participant", "hasCondition", ("school",)),
+    ("MBDItem", "hasSetting", ("autism", "adhd")),
 ]
 
 
@@ -53,3 +71,29 @@ def test_dl_some_equals_sparql_join(corpus, a, p, b):
 @pytest.mark.parametrize("a, p, b", EMPTY)
 def test_dl_some_equals_sparql_join_when_empty(corpus, a, p, b):
     assert _both(corpus, a, p, b) == (set(), set())
+
+
+def _both_constants(kb, a, p, objects):
+    if len(objects) == 1:
+        dl_text = f"{a} and {p} value {objects[0]}"
+    else:
+        dl_text = f"{a} and {p} some {{{', '.join(objects)}}}"
+    dl = eval_dl_query(parse_dl_query(dl_text), kb)
+    a, p = _sparql_name(a), _sparql_name(p)
+    sparql = set()
+    for c in objects:
+        query = f"SELECT ?x WHERE {{ ?x a {a} ; {p} {_sparql_name(c)} }}"
+        sparql |= {x for (x,) in eval_sparql(parse_sparql(query), kb).rows}
+    return dl, sparql
+
+
+@pytest.mark.parametrize("a, p, objects", CONSTANTS)
+def test_dl_value_and_one_of_equal_sparql_constants(corpus, a, p, objects):
+    dl, sparql = _both_constants(corpus, a, p, objects)
+    assert dl
+    assert dl == sparql
+
+
+@pytest.mark.parametrize("a, p, objects", EMPTY_CONSTANTS)
+def test_dl_value_and_one_of_equal_sparql_constants_when_empty(corpus, a, p, objects):
+    assert _both_constants(corpus, a, p, objects) == (set(), set())

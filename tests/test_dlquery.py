@@ -1,5 +1,9 @@
+import functools
+import operator
+from collections import defaultdict
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import QUERIES, edited_queries, load_kb
@@ -8,6 +12,7 @@ from ssdkb.dlquery import (
     And,
     DataSome,
     DlEvalError,
+    DlEvaluator,
     DlSyntaxError,
     MAX_DEPTH,
     NamedClass,
@@ -17,8 +22,9 @@ from ssdkb.dlquery import (
     eval_dl_query,
     parse_dl_query,
 )
-from ssdkb.kb import empty_kb
-from ssdkb.terms import aut, local_name, ssd
+from ssdkb.generate import GenProfile, generate_studies
+from ssdkb.kb import TripleIndex, empty_kb
+from ssdkb.terms import RDF_TYPE, Literal, aut, local_name, ssd
 
 
 def names(result):
@@ -153,6 +159,39 @@ def test_unknown_property_is_eval_error(fig3_mat):
         eval_dl_query(parse_dl_query("hasNoSuchProp some Result"), fig3_mat)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Result and NoSuchClass",
+        "hasCondition value adhd and NoSuchClass",
+        "hasCondition value adhd and Result and hasNoSuchProp some Result",
+        "years some xsd:int[<0] and hasNoSuchProp value autism",
+        "hasCondition value adhd and (Result and hasPhase some NoSuchClass)",
+    ],
+)
+def test_unknown_name_in_any_conjunct_is_eval_error(fig3_mat, text):
+    # the conjuncts before the unknown name are non-empty in the first case
+    # and empty in the others
+    with pytest.raises(DlEvalError):
+        eval_dl_query(parse_dl_query(text), fig3_mat)
+
+
+def test_results_are_the_callers_own():
+    kb = materialize_types(load_kb("fig3.ttl"))
+    # a named class alone, and a chain whose smallest conjunct is one
+    for text, expected in [
+        ("InterventionPhase", {"ph02", "ph04"}),
+        ("InterventionPhase and Phase and {ph01, ph02, ph04}", {"ph02", "ph04"}),
+    ]:
+        first = eval_dl_query(parse_dl_query(text), kb)
+        second = eval_dl_query(parse_dl_query(text), kb)
+        assert first is not second
+        first.update({ssd("intruder"), aut("intruder")})
+        assert names(second) == expected
+        assert names(eval_dl_query(parse_dl_query(text), kb)) == expected
+    assert kb.index().type_index == TripleIndex(kb.all_triples()).type_index
+
+
 def test_prefixed_names_resolve(fig3_mat):
     assert names(eval_dl_query(parse_dl_query("ssd:Result"), fig3_mat)) == names(
         eval_dl_query(parse_dl_query("Result"), fig3_mat)
@@ -195,3 +234,146 @@ def test_parse_dl_query_is_total(text):
     except DlSyntaxError:
         return
     assert isinstance(expr, (NamedClass, And, Some, Value, OneOf, DataSome))
+
+
+# --- the index-driven evaluator against a scan-only reference ---
+
+_CORPUS = materialize_types(generate_studies(200, GenProfile(seed=1)))
+
+
+def reference_members(kb):
+    """The scan-only evaluator: every `some`, `value` and facet scans all of
+    the property's triples, taken from `kb.all_triples()` rather than the
+    store. Names resolve as in `DlEvaluator`."""
+    names = DlEvaluator(kb)
+    by_p = defaultdict(list)
+    for t in kb.all_triples():
+        by_p[t.predicate].append(t)
+    ops = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "=": operator.eq}
+
+    def members(expr):
+        if isinstance(expr, NamedClass):
+            cls = names.resolve_class(expr.name)
+            return {t.subject for t in by_p[RDF_TYPE] if t.object == cls}
+        if isinstance(expr, And):
+            return members(expr.left) & members(expr.right)
+        if isinstance(expr, OneOf):
+            return {names.resolve_individual(name) for name in expr.individuals}
+        prop = names.resolve_property(expr.prop)
+        if isinstance(expr, Some):
+            filler = members(expr.filler)
+            return {t.subject for t in by_p[prop] if t.object in filler}
+        if isinstance(expr, Value):
+            individual = names.resolve_individual(expr.individual)
+            return {t.subject for t in by_p[prop] if t.object == individual}
+        return {
+            t.subject
+            for t in by_p[prop]
+            if isinstance(t.object, Literal)
+            and t.object.datatype != "string"
+            and ops[expr.op](t.object.as_decimal(), expr.bound)
+        }
+
+    return members
+
+
+_REFERENCE = reference_members(_CORPUS)
+
+# What the generated corpus holds, so that many drawn expressions have
+# members: kind -> (its classes, some of its individuals, properties to
+# other kinds, numeric properties)
+_SCHEMA = {
+    "SingleSubjectDesign": (
+        ["SingleSubjectDesign", "AB_Design", "WithdrawalDesign", "AcrossSettingMBD",
+         "AlternatingTreatmentDesign"],
+        ["study00005", "study00117"],
+        [("hasPhase", "Phase"), ("hasParticipant", "Participant"),
+         ("hasOutcome", "Outcome"), ("hasMBDItem", "MBDItem")],
+        [],
+    ),
+    "MBDItem": (
+        ["MBDItem", "AcrossSettingMBDItem", "AcrossOutcomeMBDItem"],
+        ["study00117_item2"],
+        [("hasPhase", "Phase"), ("hasSetting", "Setting")],
+        [],
+    ),
+    "Phase": (
+        ["Phase", "BaselinePhase", "InterventionPhase", "SimpleInterventionPhase"],
+        ["study00005_ph2", "study00117_item2_ph1"],
+        [("hasInterventionType", "InterventionType")],
+        ["hasPosition"],
+    ),
+    "Result": (["Result"], [], [("isResultOfPhase", "Phase"), ("occursIn", "Instant")], ["hasValue"]),
+    "Instant": (["Instant"], [], [], ["hasValue"]),
+    "Participant": (
+        ["Participant"],
+        ["study00117_p1", "study00121_p1"],
+        [("hasAge", "AgeDescription"), ("diagnosedAtAge", "AgeDescription"),
+         ("hasCondition", "Condition"), ("hasGender", "Gender")],
+        [],
+    ),
+    "AgeDescription": (["AgeDescription"], [], [], ["years", "months"]),
+    "InterventionType": (["InterventionType", "aut:Peer-mediatedIntervention"], ["intv007", "intv011"], [], []),
+    "Outcome": (["Outcome", "aut:CommunicationOutcome"], ["aut:outcome007", "aut:correct_answers_wh"], [], []),
+    "Condition": ([], ["autism", "adhd"], [], []),
+    "Setting": ([], ["school", "home"], [], []),
+    "Gender": ([], ["female"], [], []),
+}
+
+
+@functools.cache
+def _expressions(kind, depth):
+    """`and` chains of 1-4 atoms about `kind`; a `some` filler is a chain
+    about the property's kind, nested up to `depth` more levels. `nobody`
+    is in no triple and no value is below 0, so some conjuncts are empty."""
+    classes, individuals, edges, facets = _SCHEMA[kind]
+    one_of = st.lists(st.sampled_from(individuals + ["nobody"]), min_size=1, max_size=3)
+    atoms = [one_of.map(lambda chosen: OneOf(tuple(chosen)))]
+    if classes:
+        atoms.append(st.sampled_from(classes).map(NamedClass))
+    if facets:
+        ops = st.sampled_from(["<", "<=", ">", ">=", "="])
+        atoms.append(st.builds(DataSome, st.sampled_from(facets), ops, st.integers(-1, 12)))
+    for prop, target in edges:
+        objects = _SCHEMA[target][1] + ["nobody"]
+        atoms.append(st.builds(Value, st.just(prop), st.sampled_from(objects)))
+        if depth > 0:
+            atoms.append(st.builds(Some, st.just(prop), _expressions(target, depth - 1)))
+    chains = st.lists(st.one_of(atoms), min_size=1, max_size=4)
+    return chains.map(lambda conjuncts: functools.reduce(And, conjuncts))
+
+
+def _uses_lookup(text):
+    """Whether the index-driven evaluator answers the top `some` of `text`
+    from `by_po`: its filler has fewer members than the property has triples."""
+    expr = parse_dl_query(text)
+    evaluator = DlEvaluator(_CORPUS)
+    triples = _CORPUS.index().by_p[evaluator.resolve_property(expr.prop)]
+    return len(evaluator.eval(expr.filler)) < len(triples)
+
+
+@pytest.mark.parametrize(
+    "text, lookup",
+    [
+        ("isResultOfPhase some Phase", True),
+        ("hasInterventionType some aut:Peer-mediatedIntervention", True),
+        ("hasParticipant some {study00117_p1, study00121_p1}", True),
+        ("hasParticipant some (hasAge some (years some xsd:int[<20]))", True),
+        ("hasAge some AgeDescription", False),
+        ("hasPhase some Phase", False),
+        ("hasPhase some (hasPosition some xsd:int[>=1])", False),
+        ("hasAge some (years some xsd:int[<20])", False),
+    ],
+)
+def test_some_lookup_and_scan_agree_with_reference(text, lookup):
+    assert _uses_lookup(text) == lookup
+    expr = parse_dl_query(text)
+    assert eval_dl_query(expr, _CORPUS) == _REFERENCE(expr) != set()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(sorted(_SCHEMA)).flatmap(lambda kind: _expressions(kind, 3)))
+@example(And(Value("hasCondition", "nobody"), NamedClass("Participant")))
+@example(And(And(NamedClass("Result"), DataSome("years", "<", 0)), Some("isResultOfPhase", NamedClass("Phase"))))
+def test_eval_matches_scan_only_reference(expr):
+    assert eval_dl_query(expr, _CORPUS) == _REFERENCE(expr)
