@@ -10,7 +10,7 @@ from . import vocab
 from .kb import KnowledgeBase, validate_kb
 from .model import MBDItem, Study, Violation
 from .taxonomy import Taxonomy
-from .terms import Iri, RDF_TYPE, Term
+from .terms import Iri, RDF_TYPE, Term, gc_paused
 from .turtle import Triple
 
 
@@ -208,6 +208,7 @@ def classify_mbd(study: Study) -> Iri | Violation:
 # --- materialization ---
 
 
+@gc_paused()
 def materialize_types(kb: KnowledgeBase) -> KnowledgeBase:
     """Forward closure: subclass-closure types for every typed individual,
     design classes for every study, across-X item types for MBD items.

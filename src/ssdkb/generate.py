@@ -16,7 +16,7 @@ from . import vocab
 from .kb import KnowledgeBase, graph_to_kb, study_to_triples
 from .model import AgeDescription, MBDItem, Participant, Phase, PhaseKind, Result, Study
 from .taxonomy import Taxonomy, core_taxonomy
-from .terms import Iri, RDF_TYPE, Term, aut, ssd
+from .terms import Iri, RDF_TYPE, Term, aut, gc_paused, ssd
 from .turtle import TripleGraph
 
 BASELINE_MEAN = 10.0
@@ -314,6 +314,7 @@ def generated_design(index: int, profile: GenProfile) -> str:
     return _draw_design(index, profile)[0]
 
 
+@gc_paused()
 def generate_graph(n: int, profile: GenProfile | None = None) -> TripleGraph:
     profile = profile or GenProfile()
     profile.check()

@@ -32,6 +32,7 @@ from .terms import (
     Literal,
     RDF_TYPE,
     Term,
+    gc_paused,
     integer,
     local_name,
 )
@@ -246,6 +247,7 @@ def _asserted_design(store: TripleIndex, node: Term, taxonomy: Taxonomy) -> Iri 
     return designs[0]
 
 
+@gc_paused()
 def graph_to_kb(graph: TripleGraph, taxonomy: Taxonomy | None = None) -> KnowledgeBase:
     """Lift a triple graph to typed studies. Raises SchemaError on type
     clashes and dangling references; structural problems beyond that are
@@ -437,19 +439,21 @@ def kb_stats(kb: KnowledgeBase) -> KbStats:
     Individuals are IRI/blank nodes occurring in individual positions:
     subjects, plus non-class objects of non-type triples."""
     individuals: set[Term] = set()
-    per_class: dict[str, int] = {}
     store = kb.index()
-    for t in store.all:
-        if isinstance(t.subject, (Iri, BlankNode)):
-            individuals.add(t.subject)
-        if t.predicate == RDF_TYPE:
-            if isinstance(t.object, Iri):
-                name = local_name(t.object)
-                per_class[name] = per_class.get(name, 0) + 1
-        elif isinstance(t.object, (Iri, BlankNode)):
+    is_class = kb.taxonomy.contains
+    for s, p, o in store.all:
+        if isinstance(s, (Iri, BlankNode)):
+            individuals.add(s)
+        if p != RDF_TYPE and isinstance(o, (Iri, BlankNode)):
             # hasMBDItemType points at a class, not an individual
-            if not (isinstance(t.object, Iri) and kb.taxonomy.contains(t.object)):
-                individuals.add(t.object)
+            if not (isinstance(o, Iri) and is_class(o)):
+                individuals.add(o)
+    # the store's triples are distinct, so each class has one type triple
+    # per member
+    per_class: dict[str, int] = {}
+    for cls, members in store.type_index.items():
+        name = local_name(cls)
+        per_class[name] = per_class.get(name, 0) + len(members)
     return KbStats(
         study_count=len(kb.studies),
         triple_count=len(store.all),

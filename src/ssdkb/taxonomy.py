@@ -42,21 +42,27 @@ class Taxonomy:
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
+        # depth-first with an explicit stack, so a chain of any length is
+        # checked without recursion
         seen: dict[Iri, int] = {}  # 1 = on stack, 2 = done
-
-        def visit(node: Iri) -> None:
-            state = seen.get(node)
-            if state == 1:
-                raise CycleError(f"subclass cycle through {node}")
-            if state == 2:
-                return
-            seen[node] = 1
-            for parent in self._parents[node]:
-                visit(parent)
-            seen[node] = 2
-
         for cls in self.classes:
-            visit(cls)
+            if cls in seen:
+                continue
+            seen[cls] = 1
+            stack = [(cls, iter(self._parents[cls]))]
+            while stack:
+                node, parents = stack[-1]
+                for parent in parents:
+                    state = seen.get(parent)
+                    if state == 1:
+                        raise CycleError(f"subclass cycle through {parent}")
+                    if state is None:
+                        seen[parent] = 1
+                        stack.append((parent, iter(self._parents[parent])))
+                        break
+                else:
+                    seen[node] = 2
+                    stack.pop()
 
     def register(self, name: Iri, parents: set[Iri] | frozenset[Iri]) -> "Taxonomy":
         """Return a taxonomy extended with `name` as a subclass of `parents`."""

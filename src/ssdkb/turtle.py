@@ -32,6 +32,7 @@ from .terms import (
     RDF_TYPE,
     Term,
     _Tagged,
+    gc_paused,
     unescape,
 )
 
@@ -203,6 +204,7 @@ class _Reader:
         return TurtleSyntaxError(message, line, pos - self.text.rfind("\n", 0, pos))
 
 
+@gc_paused()
 def parse_turtle(text: str) -> TripleGraph:
     """Parse a document in the supported Turtle subset."""
     return _Reader(text).read()
@@ -237,6 +239,7 @@ def _render(term: Term, ns_to_label: dict[str, str], bnode_map: dict[str, str]) 
     return str(term)
 
 
+@gc_paused()
 def serialize_turtle(graph: TripleGraph) -> str:
     """Canonical text form: prefixes sorted by label, subjects sorted,
     predicates grouped with ';', blank nodes renumbered _:b1.. in first-use

@@ -3,11 +3,12 @@ from decimal import Decimal
 
 import pytest
 
-from conftest import load_kb
+from conftest import FIXTURES, load_kb
 from ssdkb import vocab
 from ssdkb.classify import materialize_types
 from ssdkb.generate import GenProfile, generate_studies
 from ssdkb.kb import (
+    KbStats,
     SchemaError,
     TripleIndex,
     empty_kb,
@@ -17,7 +18,8 @@ from ssdkb.kb import (
     validate_kb,
 )
 from ssdkb.model import PhaseKind, age_in_months
-from ssdkb.terms import RDF_TYPE, aut, local_name, ssd
+from ssdkb.taxonomy import core_taxonomy
+from ssdkb.terms import RDF_TYPE, BlankNode, Iri, aut, local_name, ssd
 from ssdkb.turtle import Triple, parse_turtle
 
 
@@ -150,6 +152,47 @@ def test_fig3_stats(fig3_kb):
 def test_empty_kb_stats():
     stats = kb_stats(empty_kb())
     assert (stats.study_count, stats.triple_count, stats.individual_count) == (0, 0, 0)
+
+
+def reference_kb_stats(kb):
+    """kb_stats as it was before it read the per-class counts from the
+    store's type_index: one pass over the triples, field by field."""
+    individuals = set()
+    per_class = {}
+    for t in kb.index().all:
+        if isinstance(t.subject, (Iri, BlankNode)):
+            individuals.add(t.subject)
+        if t.predicate == RDF_TYPE:
+            if isinstance(t.object, Iri):
+                name = local_name(t.object)
+                per_class[name] = per_class.get(name, 0) + 1
+        elif isinstance(t.object, (Iri, BlankNode)):
+            if not (isinstance(t.object, Iri) and kb.taxonomy.contains(t.object)):
+                individuals.add(t.object)
+    return KbStats(
+        study_count=len(kb.studies),
+        triple_count=len(kb.index().all),
+        individual_count=len(individuals),
+        per_class_counts=dict(sorted(per_class.items())),
+    )
+
+
+def _stats_cases():
+    scripting = core_taxonomy().register(aut("ScriptingIntervention"), {vocab.INTERVENTION_TYPE})
+    for path in sorted(FIXTURES.glob("*.ttl")):
+        yield load_kb(path.name)
+        if path.name == "cookbook.ttl":
+            yield load_kb(path.name, scripting)
+    yield generate_studies(200, GenProfile(seed=7))
+
+
+def test_stats_match_the_reference_before_and_after_materializing():
+    for kb in _stats_cases():
+        assert kb_stats(kb) == reference_kb_stats(kb)
+        if not validate_kb(kb):
+            mat = materialize_types(kb)
+            assert kb_stats(mat) == reference_kb_stats(mat)
+            assert kb_stats(mat).per_class_counts != kb_stats(kb).per_class_counts
 
 
 def test_stats_additive_over_disjoint_kbs():

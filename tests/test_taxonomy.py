@@ -96,3 +96,34 @@ def test_resolve_local_names(core):
     assert core.resolve("Peer-mediatedIntervention") == vocab.PEER_MEDIATED_INTERVENTION
     with pytest.raises(UnknownClassError):
         core.resolve("Nonexistent")
+
+
+def _chain(n: int):
+    """Classes c0 .. c(n-1), each a subclass of the one before."""
+    classes = [ssd(f"c{i}") for i in range(n)]
+    return classes, {(classes[i + 1], classes[i]) for i in range(n - 1)}
+
+
+def test_chain_deeper_than_the_recursion_limit():
+    classes, edges = _chain(4999)
+    chain = Taxonomy(frozenset(classes), frozenset(edges))
+    leaf = ssd("c4999")
+    chain = chain.register(leaf, {classes[-1]})
+    assert chain.superclasses(leaf) == frozenset(classes) | {leaf}
+    assert len(chain.superclasses(leaf)) == 5000
+    assert chain.is_subclass_of(leaf, classes[0])
+
+
+@pytest.mark.parametrize("child, parent", [(0, 4999), (2500, 2501), (4998, 4999), (4999, 4999)])
+def test_cycle_anywhere_in_a_long_chain(child, parent):
+    classes, edges = _chain(5000)
+    edges.add((classes[child], classes[parent]))
+    with pytest.raises(CycleError):
+        Taxonomy(frozenset(classes), frozenset(edges))
+
+
+def test_register_closes_a_cycle_through_a_long_chain():
+    classes, edges = _chain(5000)
+    chain = Taxonomy(frozenset(classes), frozenset(edges))
+    with pytest.raises(CycleError):
+        chain.register(classes[0], {classes[-1]})
