@@ -85,6 +85,51 @@ def test_syntax_errors(text):
         parse_dl_query(text)
 
 
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        # an unknown token is reported from the end of the previous token
+        ("Result  $", "unknown token near '  $'", 6),
+        ("-5", "unknown token near '-5'", 0),
+        ("Résultat", "unknown token near 'ésultat'", 1),
+        # DL takes no `#` comments
+        ("Result\n\t#", "unknown token near '\\n\\t#'", 6),
+        ("p some xsd:int[< -3]", "unknown token near ' -3]'", 16),
+        # the first unknown token wins over an earlier grammar error
+        ("Result and $ and (", "unknown token near ' $ and ('", 10),
+        ("Result and (Foo $", "unknown token near ' $'", 15),
+        ("(" * 101 + "A $", "unknown token near ' $'", 102),
+        # end of input
+        ("", "expected a name, found ''", 0),
+        ("   ", "expected a name, found ''", 3),
+        ("Result and", "expected a name, found ''", 10),
+        ("(Result", "expected rpar, found ''", 7),
+        ("(Result and Foo", "expected rpar, found ''", 15),
+        ("isResultOfPhase some", "expected a filler, found ''", 20),
+        ("years some xsd:int[<5", "expected rbrack, found ''", 21),
+        ("{ph01", "expected rbrace, found ''", 5),
+        ("p value", "expected name, found ''", 7),
+        # grammar errors
+        ("and Result", "dangling 'and' connective", 0),
+        ("Result and and", "dangling 'and' connective", 11),
+        ("Result)", "unexpected trailing input ')'", 6),
+        ("Result AND Foo", "unexpected trailing input 'AND'", 7),
+        ("isResultOfPhase some ,", "expected a filler, found ','", 21),
+        ("years some xsd:int[<]", "expected int, found ']'", 20),
+        ("years some xsd:int[5]", "expected op, found '5'", 19),
+        ("years some xsd:int <5]", "expected lbrack, found '<'", 19),
+        ("{ph01,}", "expected name, found '}'", 6),
+        ("p value (", "expected name, found '('", 8),
+        ("(" * 101 + "A" + ")" * 101, f"expression nested deeper than {MAX_DEPTH} levels", 101),
+    ],
+)
+def test_error_message_and_position(text, message, position):
+    with pytest.raises(DlSyntaxError) as info:
+        parse_dl_query(text)
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
+
+
 def test_nesting_depth_limit(fig3_mat):
     def nested(levels):
         return "hasPhase some (" * levels + "Phase" + ")" * levels

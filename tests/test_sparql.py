@@ -71,6 +71,70 @@ def test_syntax_and_scope_errors(text):
         parse_sparql(text)
 
 
+_Q = "SELECT ?x WHERE { ?x <http://e.org/p> ?y }"
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        # an unknown token is reported from the end of the previous token
+        ("SELECT  $", "unknown token near '  $'", 6),
+        ("SELECT ?x WHERE { ?x a ?y $ }", "unknown token near ' $ }'", 25),
+        # the first unknown token wins over an earlier grammar error
+        ("SELECT ?x WHERE { ?x nope:p ?y } $", "unknown token near ' $'", 32),
+        (_Q + " LIMIT 0 $", "unknown token near ' $'", 50),
+        # end of input
+        ("", "expected 'select', found ''", 0),
+        ("   ", "expected 'select', found ''", 3),
+        ("SELECT", "SELECT needs at least one variable", 6),
+        ("select ?x", "expected 'where', found ''", 9),
+        ("SELECT ?x WHERE", "expected '{', found ''", 15),
+        ("SELECT ?x WHERE {", "expected a term, found ''", 17),
+        ("SELECT ?x WHERE { ?x", "predicate must be an IRI, found ''", 20),
+        ("SELECT ?x WHERE { ?x <http://e.org/p>", "expected a term, found ''", 37),
+        ("SELECT ?x WHERE { ?x <http://e.org/p> ?y", "unterminated pattern group", 40),
+        ("PREFIX s:", "expected an IRI, found ''", 9),
+        ("SELECT ?x WHERE { ?x a ?y } ORDER BY ASC(?y", "expected ')', found ''", 43),
+        (_Q + " LIMIT", "LIMIT needs a positive integer, found ''", 48),
+        # LIMIT
+        (_Q + " LIMIT 0", "LIMIT needs a positive integer, found '0'", 49),
+        (_Q + " LIMIT -1", "LIMIT needs a positive integer, found '-1'", 49),
+        (_Q + " LIMIT 1.5", "LIMIT needs a positive integer, found '1.5'", 49),
+        (_Q + " LIMIT nope", "LIMIT needs a positive integer, found 'nope'", 49),
+        # terms
+        ('SELECT ?x WHERE { ?x <http://e.org/p> "\\q" }', "bad string escape", 38),
+        ("SELECT ?x WHERE { ?x nope:p ?y }", "unresolved prefix 'nope'", 21),
+        ("SELECT ?x WHERE { bare a ?y }", "bare name 'bare' is not a term", 18),
+        ("SELECT ?x WHERE { ?x 5 ?y }", "predicate must be an IRI, found '5'", 21),
+        ("SELECT ?x WHERE { ?x a ?y ; }", "predicate must be an IRI, found '}'", 28),
+        ("SELECT ?x WHERE { ?x ?p }", "expected a term, found '}'", 24),
+        # variables that no pattern binds
+        (
+            "SELECT ?x WHERE { ?y <http://e.org/p> <http://e.org/o> }",
+            "select variable ?x not bound in patterns",
+            0,
+        ),
+        (_Q + " order by ASC(?z)", "order variable ?z not bound in patterns", 0),
+        # keywords and punctuation
+        ("WHERE { ?x <http://e.org/p> ?y }", "expected 'select', found 'WHERE'", 0),
+        ("SELECT WHERE { ?x <http://e.org/p> ?y }", "SELECT needs at least one variable", 7),
+        ("SELECT ?x WHERE ?x <http://e.org/p> ?y", "expected '{', found '?x'", 16),
+        ("PREFIX s <x> SELECT", "expected a prefix label, found 's'", 7),
+        ("PREFIX s: x SELECT", "expected an IRI, found 'x'", 10),
+        ("SELECT ?x WHERE { ?x a ?y } ORDER ?y", "expected 'by', found '?y'", 34),
+        ("SELECT ?x WHERE { ?x a ?y } ORDER BY UP(?y)", "expected ASC or DESC, found 'UP'", 37),
+        ("SELECT ?x WHERE { ?x a ?y } ORDER BY ASC ?y", "expected '(', found '?y'", 41),
+        ("SELECT ?x WHERE { ?x a ?y } ORDER BY ASC(y)", "expected a variable, found 'y'", 41),
+        ("SELECT ?x WHERE { ?x a ?y } extra", "unexpected trailing input 'extra'", 28),
+    ],
+)
+def test_error_message_and_position(text, message, position):
+    with pytest.raises(SparqlSyntaxError) as info:
+        parse_sparql(text)
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
+
+
 def test_best_result_on_ab_fixture(ab_mat):
     table = eval_sparql(parse_sparql(BEST_RESULT), ab_mat)
     assert table.header == ("study", "interType", "val")
