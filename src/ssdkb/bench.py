@@ -1,8 +1,6 @@
 """Benchmark harness: generate a kb, time load + materialization + query
 evaluation, and emit a human-readable report plus a machine-readable
 key-value copy.
-
-Set SSDKB_BENCH_REPS to cap per-query repetitions (default 5) for CI.
 """
 
 from __future__ import annotations
@@ -20,8 +18,8 @@ from .kb import KbStats, graph_to_kb, kb_stats
 from .sparql import eval_sparql, parse_sparql
 from .turtle import parse_turtle, serialize_turtle
 
-# the published example queries; the competency-question set is appended
-# from the queries/ directory when present
+# the published example queries, which `run_bench` times unless it is
+# given queries of its own
 DEFAULT_DL_QUERIES = {
     "dl_results_of_phase": "Result and isResultOfPhase some {study00000_ph1}",
     "dl_across_setting": (
@@ -97,16 +95,13 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
-def _repetitions() -> int:
-    return max(1, int(os.environ.get("SSDKB_BENCH_REPS", "5")))
-
-
-def _time_query(run, reps: int) -> tuple[float, float, int]:
+def _time_query(run) -> tuple[float, float, int]:
+    """The cold time, the median of five warm times, and the result size."""
     start = time.perf_counter()
     result = run()
     cold = (time.perf_counter() - start) * 1000.0
     warm = []
-    for _ in range(reps):
+    for _ in range(5):
         start = time.perf_counter()
         result = run()
         warm.append((time.perf_counter() - start) * 1000.0)
@@ -158,13 +153,12 @@ def run_bench(
         stats=kb_stats(kb),
     )
 
-    reps = _repetitions()
     for name, text in sorted(dl_queries.items()):
         expr = parse_dl_query(text)
-        cold, warm, size = _time_query(lambda: eval_dl_query(expr, kb), reps)
+        cold, warm, size = _time_query(lambda: eval_dl_query(expr, kb))
         report.queries.append(QueryTiming(name, "dl", cold, warm, size))
     for name, text in sorted(sparql_queries.items()):
         query = parse_sparql(text)
-        cold, warm, size = _time_query(lambda: eval_sparql(query, kb), reps)
+        cold, warm, size = _time_query(lambda: eval_sparql(query, kb))
         report.queries.append(QueryTiming(name, "sparql", cold, warm, size))
     return report

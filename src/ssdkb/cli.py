@@ -12,7 +12,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 
-from .bench import DEFAULT_DL_QUERIES, DEFAULT_SPARQL_QUERIES, load_query_dir, run_bench
+from .bench import load_query_dir, run_bench
 from .classify import ClassificationError, classify_study, materialize_types
 from .dlquery import DlEvalError, DlSyntaxError, eval_dl_query, parse_dl_query
 from .generate import GenProfile, ProfileError, generate_graph
@@ -99,10 +99,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_bench(args) -> int:
     profile = GenProfile.from_file(args.profile) if args.profile else GenProfile()
-    if args.queries:
-        dl, sparql = load_query_dir(args.queries)
-    else:
-        dl, sparql = dict(DEFAULT_DL_QUERIES), dict(DEFAULT_SPARQL_QUERIES)
+    # the files of --queries replace the default queries
+    dl, sparql = load_query_dir(args.queries) if args.queries else (None, None)
     report = run_bench(args.count, profile, dl, sparql)
     print(report.to_text(), end="")
     with open(args.report, "w", encoding="utf-8") as handle:
@@ -157,7 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run the scalability benchmark")
     p.add_argument("-n", "--count", type=int, default=1000)
-    p.add_argument("--queries", help="directory of *.dl and *.rq query files")
+    p.add_argument(
+        "--queries", help="directory of *.dl and *.rq query files to time instead of the defaults"
+    )
     p.add_argument("--profile")
     p.add_argument("--report", default="bench_report.kv")
     p.set_defaults(func=_cmd_bench)

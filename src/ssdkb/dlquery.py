@@ -14,12 +14,11 @@ Grammar (left-associative `and`):
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Union
 
-from . import vocab
+from . import scan, vocab
 from .kb import KnowledgeBase
 from .terms import AUT_NS, DEFAULT_PREFIXES, SSD_NS, Iri, Literal, RDF_TYPE, Term
 
@@ -77,88 +76,50 @@ ClassExpr = Union[NamedClass, And, Some, Value, OneOf, DataSome]
 
 # --- parser ---
 
-_TOKEN_RX = re.compile(
-    r"""\s*(?:
-        (?P<lpar>\()|(?P<rpar>\))|
-        (?P<lbrace>\{)|(?P<rbrace>\})|
-        (?P<lbrack>\[)|(?P<rbrack>\])|
-        (?P<comma>,)|
-        (?P<op><=|>=|≤|≥|<|>|=)|
-        (?P<int>[0-9]+)|
-        (?P<name>[A-Za-z_][A-Za-z0-9_\-]*(?::[A-Za-z_][A-Za-z0-9_\-]*)?)
-    )""",
-    re.VERBOSE,
+_TOKEN_RX = scan.language(
+    r"\s*",  # no comments
+    lpar=r"\(", rpar=r"\)", lbrace=r"\{", rbrace=r"\}", lbrack=r"\[", rbrack=r"\]", comma=",",
+    op="<=|>=|≤|≥|<|>|=",
+    int="[0-9]+",
+    name=r"[A-Za-z_][A-Za-z0-9_\-]*(?::[A-Za-z_][A-Za-z0-9_\-]*)?",
 )
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RX.match(text, pos)
-        if m is None or m.end() == m.start():
-            if text[pos:].strip() == "":
-                break
-            raise DlSyntaxError(f"unknown token near {text[pos:pos + 10]!r}", pos)
-        kind = m.lastgroup
-        assert kind is not None
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
-    return tokens
-
 
 # Deepest expression accepted. A parenthesis and a `some` filler are one level
 # each of the tree that evaluation recurses over; `and` chains are walked in a loop.
 MAX_DEPTH = 100
 
 
-class _DlParser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.next()
-        if tok[0] != kind:
-            raise DlSyntaxError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        return tok
+class _DlParser(scan.Cursor):
+    rx = _TOKEN_RX
+    Error = DlSyntaxError
 
     def parse(self) -> ClassExpr:
         expr = self.parse_expr(0)
         tok = self.peek()
-        if tok[0] != "eof":
-            raise DlSyntaxError(f"unexpected trailing input {tok[1]!r}", tok[2])
+        if tok[0] != "EOF":
+            raise self.error(f"unexpected trailing input {tok[1]!r}", tok[2])
         return expr
 
     def parse_expr(self, depth: int) -> ClassExpr:
         expr = self.parse_atom(depth)
-        while self.peek()[0] == "name" and self.peek()[1] == "and":
+        while self.peek()[:2] == ("name", "and"):
             self.next()
             expr = And(expr, self.parse_atom(depth))
         return expr
 
     def parse_one_of(self) -> OneOf:
         self.expect("lbrace")
-        individuals = [self.expect("name")[1]]
-        while self.peek()[0] == "comma":
+        individuals = [self.expect("name")]
+        while self.at("comma"):
             self.next()
-            individuals.append(self.expect("name")[1])
+            individuals.append(self.expect("name"))
         self.expect("rbrace")
         return OneOf(tuple(individuals))
 
     def parse_atom(self, depth: int) -> ClassExpr:
         tok = self.peek()
         if depth > MAX_DEPTH:
-            raise DlSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", tok[2])
+            raise self.error(f"expression nested deeper than {MAX_DEPTH} levels", tok[2])
         if tok[0] == "lpar":
             self.next()
             expr = self.parse_expr(depth + 1)
@@ -167,17 +128,17 @@ class _DlParser:
         if tok[0] == "lbrace":
             return self.parse_one_of()
         if tok[0] != "name":
-            raise DlSyntaxError(f"expected a name, found {tok[1]!r}", tok[2])
+            raise self.error(f"expected a name, found {tok[1]!r}", tok[2])
         name = self.next()[1]
         if name == "and":
-            raise DlSyntaxError("dangling 'and' connective", tok[2])
-        following = self.peek()
-        if following[0] == "name" and following[1] == "some":
+            raise self.error("dangling 'and' connective", tok[2])
+        following = self.peek()[:2]
+        if following == ("name", "some"):
             self.next()
             return self.parse_some(name, depth + 1)
-        if following[0] == "name" and following[1] == "value":
+        if following == ("name", "value"):
             self.next()
-            return Value(name, self.expect("name")[1])
+            return Value(name, self.expect("name"))
         return NamedClass(name)
 
     def parse_some(self, prop: str, depth: int) -> ClassExpr:
@@ -193,13 +154,13 @@ class _DlParser:
         if tok[0] == "name" and tok[1] in ("xsd:int", "xsd:integer"):
             self.next()
             self.expect("lbrack")
-            op = self.expect("op")[1]
-            bound = int(self.expect("int")[1])
+            op = self.expect("op")
+            bound = int(self.expect("int"))
             self.expect("rbrack")
             return DataSome(prop, {"≤": "<=", "≥": ">="}.get(op, op), bound)
         if tok[0] == "name":
             return Some(prop, NamedClass(self.next()[1]))
-        raise DlSyntaxError(f"expected a filler, found {tok[1]!r}", tok[2])
+        raise self.error(f"expected a filler, found {tok[1]!r}", tok[2])
 
 
 def parse_dl_query(text: str) -> ClassExpr:

@@ -1,5 +1,6 @@
 """SPARQL subset: PREFIX declarations, SELECT over conjunctive triple
-patterns (with `;` lists and `a`), ORDER BY ASC|DESC(?v), LIMIT n.
+patterns (with `;` lists and `a`), ORDER BY ASC|DESC(?v), LIMIT n, and
+`#` comments.
 
 Evaluation is bag-semantics join over asserted plus inferred triples;
 rows are ordered by the ORDER BY key (numeric when values are numeric)
@@ -10,10 +11,10 @@ deterministic.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from . import scan
 from .kb import KnowledgeBase
 from .terms import (
     DEFAULT_PREFIXES,
@@ -88,131 +89,77 @@ def _term_text(term: Term) -> str:
 
 # --- parser ---
 
-_SPARQL_TOKEN_RX = re.compile(
-    r"""\s*(?:
-        (?P<iriref><[^<>\s]*>)|
-        (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)|
-        (?P<decimal>[+-]?[0-9]+\.[0-9]+)|
-        (?P<integer>[+-]?[0-9]+)|
-        (?P<string>"(?:[^"\\]|\\.)*")|
-        (?P<punct>[{}();.,])|
-        (?P<name>[A-Za-z_][A-Za-z0-9_\-]*:[A-Za-z_][A-Za-z0-9_\-]*|[A-Za-z_][A-Za-z0-9_\-]*:?)
-    )""",
-    re.VERBOSE,
+_TOKEN_RX = scan.language(
+    scan.SKIP,
+    iriref=scan.IRIREF,
+    var=r"\?[A-Za-z_][A-Za-z0-9_]*",
+    decimal=scan.DECIMAL,
+    integer=scan.INTEGER,
+    string=scan.STRING,
+    punct=r"[{}();.,]",
+    name=r"[A-Za-z_][A-Za-z0-9_\-]*:[A-Za-z_][A-Za-z0-9_\-]*|[A-Za-z_][A-Za-z0-9_\-]*:?",
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos] == "#":
-            end = text.find("\n", pos)
-            pos = n if end == -1 else end
-            continue
-        m = _SPARQL_TOKEN_RX.match(text, pos)
-        if m is None or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise SparqlSyntaxError(f"unknown token near {text[pos:pos + 12]!r}", pos)
-        kind = m.lastgroup
-        assert kind is not None
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    tokens.append(("eof", "", n))
-    return tokens
+class _SparqlParser(scan.Cursor):
+    rx = _TOKEN_RX
+    Error = SparqlSyntaxError
+    near = 12
 
-
-class _SparqlParser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        super().__init__(text)
         self.prefixes = dict(DEFAULT_PREFIXES)
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_punct(self, char: str):
-        tok = self.next()
-        if tok[0] != "punct" or tok[1] != char:
-            raise SparqlSyntaxError(f"expected {char!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def expect_keyword(self, word: str):
-        tok = self.next()
-        if tok[0] != "name" or tok[1].lower() != word.lower():
-            raise SparqlSyntaxError(f"expected {word!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok[0] == "name" and tok[1].lower() == word.lower()
-
     def parse(self) -> SparqlQuery:
-        while self.at_keyword("prefix"):
+        while self.at("name", "prefix"):
             self.next()
             label_tok = self.next()
             if label_tok[0] != "name" or not label_tok[1].endswith(":"):
-                raise SparqlSyntaxError(
-                    f"expected a prefix label, found {label_tok[1]!r}", label_tok[2]
-                )
+                raise self.error(f"expected a prefix label, found {label_tok[1]!r}", label_tok[2])
             iri_tok = self.next()
             if iri_tok[0] != "iriref":
-                raise SparqlSyntaxError(
-                    f"expected an IRI, found {iri_tok[1]!r}", iri_tok[2]
-                )
+                raise self.error(f"expected an IRI, found {iri_tok[1]!r}", iri_tok[2])
             self.prefixes[label_tok[1][:-1]] = iri_tok[1][1:-1]
 
-        self.expect_keyword("select")
+        self.expect("name", "select")
         select_vars = []
-        while self.peek()[0] == "var":
+        while self.at("var"):
             select_vars.append(self.next()[1][1:])
         if not select_vars:
-            tok = self.peek()
-            raise SparqlSyntaxError("SELECT needs at least one variable", tok[2])
+            raise self.error("SELECT needs at least one variable", self.peek()[2])
 
-        self.expect_keyword("where")
-        self.expect_punct("{")
+        self.expect("name", "where")
+        self.expect("punct", "{")
         patterns = self.parse_patterns()
-        self.expect_punct("}")
+        self.expect("punct", "}")
 
         order_by = None
-        if self.at_keyword("order"):
+        if self.at("name", "order"):
             self.next()
-            self.expect_keyword("by")
+            self.expect("name", "by")
             direction_tok = self.next()
             if direction_tok[0] != "name" or direction_tok[1].upper() not in ("ASC", "DESC"):
-                raise SparqlSyntaxError(
+                raise self.error(
                     f"expected ASC or DESC, found {direction_tok[1]!r}", direction_tok[2]
                 )
-            self.expect_punct("(")
+            self.expect("punct", "(")
             var_tok = self.next()
             if var_tok[0] != "var":
-                raise SparqlSyntaxError(
-                    f"expected a variable, found {var_tok[1]!r}", var_tok[2]
-                )
-            self.expect_punct(")")
+                raise self.error(f"expected a variable, found {var_tok[1]!r}", var_tok[2])
+            self.expect("punct", ")")
             order_by = (var_tok[1][1:], direction_tok[1].upper())
 
         limit = None
-        if self.at_keyword("limit"):
+        if self.at("name", "limit"):
             self.next()
             tok = self.next()
             if tok[0] != "integer" or int(tok[1]) <= 0:
-                raise SparqlSyntaxError(
-                    f"LIMIT needs a positive integer, found {tok[1]!r}", tok[2]
-                )
+                raise self.error(f"LIMIT needs a positive integer, found {tok[1]!r}", tok[2])
             limit = int(tok[1])
 
         tok = self.peek()
-        if tok[0] != "eof":
-            raise SparqlSyntaxError(f"unexpected trailing input {tok[1]!r}", tok[2])
+        if tok[0] != "EOF":
+            raise self.error(f"unexpected trailing input {tok[1]!r}", tok[2])
 
         pattern_vars = {
             t.name
@@ -246,11 +193,11 @@ class _SparqlParser:
                 prefix, local = tok[1].split(":", 1)
                 ns = self.prefixes.get(prefix)
                 if ns is None:
-                    raise SparqlSyntaxError(f"unresolved prefix {prefix!r}", tok[2])
+                    raise self.error(f"unresolved prefix {prefix!r}", tok[2])
                 return Iri(ns + local)
-            raise SparqlSyntaxError(f"bare name {tok[1]!r} is not a term", tok[2])
+            raise self.error(f"bare name {tok[1]!r} is not a term", tok[2])
         if as_predicate:
-            raise SparqlSyntaxError(f"predicate must be an IRI, found {tok[1]!r}", tok[2])
+            raise self.error(f"predicate must be an IRI, found {tok[1]!r}", tok[2])
         if tok[0] == "integer":
             return Literal(tok[1], "integer")
         if tok[0] == "decimal":
@@ -259,26 +206,25 @@ class _SparqlParser:
             try:
                 return Literal(unescape(tok[1][1:-1]), "string")
             except ValueError:
-                raise SparqlSyntaxError("bad string escape", tok[2]) from None
-        raise SparqlSyntaxError(f"expected a term, found {tok[1]!r}", tok[2])
+                raise self.error("bad string escape", tok[2]) from None
+        raise self.error(f"expected a term, found {tok[1]!r}", tok[2])
 
     def parse_patterns(self) -> list[TriplePattern]:
         patterns: list[TriplePattern] = []
-        while not (self.peek()[0] == "punct" and self.peek()[1] == "}"):
+        while not self.at("punct", "}"):
             subject = self.parse_term()
             while True:
                 predicate = self.parse_term(as_predicate=True)
                 obj = self.parse_term()
                 patterns.append(TriplePattern(subject, predicate, obj))
-                tok = self.peek()
-                if tok[0] == "punct" and tok[1] == ";":
+                if self.at("punct", ";"):
                     self.next()
                     continue
-                if tok[0] == "punct" and tok[1] == ".":
+                if self.at("punct", "."):
                     self.next()
                 break
-            if self.peek()[0] == "eof":
-                raise SparqlSyntaxError("unterminated pattern group", self.peek()[2])
+            if self.at("EOF"):
+                raise self.error("unterminated pattern group", self.peek()[2])
         return patterns
 
 

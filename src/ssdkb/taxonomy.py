@@ -29,6 +29,7 @@ class Taxonomy:
     _parents: dict[Iri, frozenset[Iri]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    _depth: dict[Iri, int] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         parents: dict[Iri, set[Iri]] = {c: set() for c in self.classes}
@@ -39,30 +40,32 @@ class Taxonomy:
         object.__setattr__(
             self, "_parents", {c: frozenset(ps) for c, ps in parents.items()}
         )
-        self._check_acyclic()
+        object.__setattr__(self, "_depth", self._depths())
 
-    def _check_acyclic(self) -> None:
-        # depth-first with an explicit stack, so a chain of any length is
-        # checked without recursion
-        seen: dict[Iri, int] = {}  # 1 = on stack, 2 = done
+    def _depths(self) -> dict[Iri, int]:
+        """Each class's depth, found in the post-order of a depth-first walk
+        that raises `CycleError` on a cycle."""
+        # an explicit stack, so a chain of any length is walked without recursion
+        depth: dict[Iri, int] = {}  # -1 while on the stack
         for cls in self.classes:
-            if cls in seen:
+            if cls in depth:
                 continue
-            seen[cls] = 1
+            depth[cls] = -1
             stack = [(cls, iter(self._parents[cls]))]
             while stack:
                 node, parents = stack[-1]
                 for parent in parents:
-                    state = seen.get(parent)
-                    if state == 1:
+                    state = depth.get(parent)
+                    if state == -1:
                         raise CycleError(f"subclass cycle through {parent}")
                     if state is None:
-                        seen[parent] = 1
+                        depth[parent] = -1
                         stack.append((parent, iter(self._parents[parent])))
                         break
                 else:
-                    seen[node] = 2
+                    depth[node] = max((depth[p] + 1 for p in self._parents[node]), default=0)
                     stack.pop()
+        return depth
 
     def register(self, name: Iri, parents: set[Iri] | frozenset[Iri]) -> "Taxonomy":
         """Return a taxonomy extended with `name` as a subclass of `parents`."""
@@ -74,11 +77,6 @@ class Taxonomy:
 
     def contains(self, name: Iri) -> bool:
         return name in self.classes
-
-    def parents_of(self, name: Iri) -> frozenset[Iri]:
-        if name not in self.classes:
-            raise UnknownClassError(f"unknown class: {name}")
-        return self._parents[name]
 
     def superclasses(self, name: Iri) -> frozenset[Iri]:
         """Reflexive-transitive superclass closure of `name`."""
@@ -101,10 +99,9 @@ class Taxonomy:
 
     def depth(self, name: Iri) -> int:
         """Longest upward path length; roots have depth 0."""
-        return max(
-            (self.depth(p) + 1 for p in self.parents_of(name)),
-            default=0,
-        )
+        if name not in self.classes:
+            raise UnknownClassError(f"unknown class: {name}")
+        return self._depth[name]
 
     def resolve(self, local: str) -> Iri:
         """Find a class by local name, trying the core then extension namespace."""

@@ -6,10 +6,9 @@ angle brackets, the `a` keyword, `;` predicate lists, `.` terminators,
 `#` comments. Collections, language tags and numeric exponents are out of
 scope.
 
-The reader makes one pass over the text. A single alternation regex skips
-whitespace and comments and matches the next token; the statement loop
-pulls tokens from it one at a time, so no token list is built. Line and
-column are worked out from the offset only when an error is raised.
+The reader makes one pass over the text with the regex and error rule of
+`scan`. Its statement loop calls `next` on the regex's `finditer` directly,
+with no call of its own per token.
 
 Within one document, every distinct IRI, prefixed name, blank-node label
 and literal token is turned into a term once, and all its occurrences share
@@ -24,6 +23,7 @@ import re
 from dataclasses import dataclass, field
 from operator import itemgetter
 
+from . import scan
 from .terms import (
     DEFAULT_PREFIXES,
     BlankNode,
@@ -71,26 +71,22 @@ class TripleGraph:
 
 # --- reader ---
 
-# One token per match, after any whitespace and `#` comments. Alternatives
-# are tried in order and the first that matches wins, so `a:` is a prefixed
-# name and `a` alone the keyword. The group names are the token kinds that
-# error messages print; ERROR catches any other character, so every offset
-# before the end yields a match and `finditer` never skips text.
-_TOKEN_RX = re.compile(
-    r"(?:\s+|#[^\n]*)*(?:"
-    r"(?P<IRIREF><[^<>\s]*>)"
-    r"|(?P<PREFIX_DIRECTIVE>@prefix\b)"
-    r"|(?P<BLANK>_:[A-Za-z0-9][A-Za-z0-9_\-]*)"
+# After any whitespace and `#` comments. The first alternative that matches
+# wins, so `a:` is a prefixed name and `a` alone the keyword. The kinds are
+# what error messages print.
+_TOKEN_RX = scan.language(
+    scan.SKIP,
+    IRIREF=scan.IRIREF,
+    PREFIX_DIRECTIVE=r"@prefix\b",
+    BLANK=r"_:[A-Za-z0-9][A-Za-z0-9_\-]*",
     # Local part may be empty (`ssd:` alone is valid but unused here).
-    r"|(?P<PNAME>(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z_][A-Za-z0-9_\-]*)?)"
-    r"|(?P<DECIMAL>[+-]?[0-9]+\.[0-9]+)"
-    r"|(?P<INTEGER>[+-]?[0-9]+)"
-    r'|(?P<STRING>"(?:[^"\\]|\\.)*")'
-    r"|(?P<A>a(?![A-Za-z0-9_\-:]))"
-    r"|(?P<SEMI>;)"
-    r"|(?P<DOT>\.)"
-    r"|(?P<EOF>\Z)"
-    r"|(?P<ERROR>.))"
+    PNAME=r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z_][A-Za-z0-9_\-]*)?",
+    DECIMAL=scan.DECIMAL,
+    INTEGER=scan.INTEGER,
+    STRING=scan.STRING,
+    A=r"a(?![A-Za-z0-9_\-:])",
+    SEMI=";",
+    DOT=r"\.",
 )
 
 
@@ -191,14 +187,11 @@ class _Reader:
         return term
 
     def error(self, message: str, m: re.Match) -> TurtleSyntaxError:
-        """The error for token `m`. An unexpected character anywhere in the
-        document takes precedence over a grammar error, so the first such
-        character is reported instead of `message` if there is one."""
-        for later in itertools.chain((m,), self.tokens):
-            if later.lastgroup == "ERROR":
-                m = later
-                message = f"unexpected character {m['ERROR']!r}"
-                break
+        """The error for token `m`, or for the first unexpected character
+        from `m` on if there is one."""
+        bad = scan.first_unexpected(itertools.chain((m,), self.tokens))
+        if bad is not None:
+            m, message = bad, f"unexpected character {bad['ERROR']!r}"
         pos = m.start(m.lastgroup)
         line = self.text.count("\n", 0, pos) + 1
         return TurtleSyntaxError(message, line, pos - self.text.rfind("\n", 0, pos))

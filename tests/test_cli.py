@@ -194,7 +194,6 @@ def test_stats_fig3(capsys):
 
 
 def test_bench_small_run(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SSDKB_BENCH_REPS", "1")
     monkeypatch.chdir(tmp_path)
     assert main(["bench", "-n", "5", "--report", "report.kv"]) == 0
     out = capsys.readouterr().out
@@ -204,8 +203,7 @@ def test_bench_small_run(tmp_path, capsys, monkeypatch):
     assert any(line.startswith("materialize_ms=") for line in kv.splitlines())
 
 
-def test_bench_with_query_dir(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SSDKB_BENCH_REPS", "1")
+def test_bench_with_query_dir(tmp_path, capsys):
     qdir = tmp_path / "queries"
     qdir.mkdir()
     (qdir / "simple.dl").write_text("Result\n")

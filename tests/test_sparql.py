@@ -135,6 +135,26 @@ def test_error_message_and_position(text, message, position):
     assert info.value.position == position
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "SELECT ?x # c\nWHERE { ?x a ?y }",
+        "SELECT ?x WHERE { ?x a ?y } # note",
+        "  # lead\nSELECT ?x WHERE { ?x a ?y }",
+        "SELECT ?x WHERE { ?x a ?y }\n# end",
+    ],
+)
+def test_comments_after_whitespace(text):
+    assert parse_sparql(text) == parse_sparql("SELECT ?x WHERE { ?x a ?y }")
+
+
+def test_commented_query_answers_the_same(ab_mat):
+    commented = "# the best result\n" + BEST_RESULT.replace("\n", "  # a note\n")
+    query = parse_sparql(commented)
+    assert query == parse_sparql(BEST_RESULT)
+    assert eval_sparql(query, ab_mat).rows == eval_sparql(parse_sparql(BEST_RESULT), ab_mat).rows
+
+
 def test_best_result_on_ab_fixture(ab_mat):
     table = eval_sparql(parse_sparql(BEST_RESULT), ab_mat)
     assert table.header == ("study", "interType", "val")

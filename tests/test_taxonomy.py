@@ -1,8 +1,10 @@
 import pytest
 
 from ssdkb import vocab
+from ssdkb.kb import graph_to_kb
 from ssdkb.taxonomy import CycleError, Taxonomy, UnknownClassError, core_taxonomy
 from ssdkb.terms import aut, ssd
+from ssdkb.turtle import parse_turtle
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +129,34 @@ def test_register_closes_a_cycle_through_a_long_chain():
     chain = Taxonomy(frozenset(classes), frozenset(edges))
     with pytest.raises(CycleError):
         chain.register(classes[0], {classes[-1]})
+
+
+def _longest_path_up(taxonomy: Taxonomy, name) -> int:
+    parents = {p for c, p in taxonomy.edges if c == name}
+    return max((_longest_path_up(taxonomy, p) + 1 for p in parents), default=0)
+
+
+def test_depth_is_the_longest_upward_path(core):
+    extended = core.register(ssd("ShortcutDesign"), {vocab.ABAB_DESIGN, vocab.SINGLE_SUBJECT_DESIGN})
+    for taxonomy in (core, extended):
+        for cls in taxonomy.classes:
+            assert taxonomy.depth(cls) == _longest_path_up(taxonomy, cls)
+    assert extended.depth(ssd("ShortcutDesign")) == 3
+    with pytest.raises(UnknownClassError):
+        core.depth(ssd("Nonexistent"))
+
+
+def test_lift_a_study_typed_with_the_leaf_of_a_long_chain():
+    classes, edges = _chain(5000)
+    core = core_taxonomy()
+    taxonomy = Taxonomy(
+        core.classes | frozenset(classes),
+        core.edges | edges | {(classes[0], vocab.AB_DESIGN)},
+    )
+    graph = parse_turtle(
+        "@prefix ssd: <http://bdi.si.ehu.es/bdi/ontologies/SSDOnt/SSDOnt#> .\n"
+        "ssd:s1 a ssd:AB_Design ; a ssd:c4999 .\n"
+    )
+    kb = graph_to_kb(graph, taxonomy)
+    assert [study.asserted_class for study in kb.studies] == [classes[-1]]
+    assert taxonomy.depth(classes[-1]) == 5002
