@@ -5,8 +5,8 @@ Each language is one regex: a skip prefix, then its token alternatives, then
 alternatives are tried in order and the first that matches wins; the name of
 the group that matched is the token's kind. Every offset before the end
 yields a match, so `finditer` never skips text. Parsers pull the tokens one
-at a time when they need them, so no token list is built, and a position is
-turned into a line and column only when an error is raised.
+at a time when they need them, so no token list is built. Turtle works out
+a line and column from an offset only when it raises an error.
 
 One rule holds for every syntax error: the first unexpected character in the
 text outranks any grammar error, as if the whole text had been tokenized

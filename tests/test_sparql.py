@@ -148,6 +148,13 @@ def test_comments_after_whitespace(text):
     assert parse_sparql(text) == parse_sparql("SELECT ?x WHERE { ?x a ?y }")
 
 
+def test_unknown_token_after_a_comment():
+    # reported from the end of the previous token, as after whitespace
+    with pytest.raises(SparqlSyntaxError) as info:
+        parse_sparql("SELECT ?x # c\n$")
+    assert str(info.value) == "unknown token near ' # c\\n$' (at position 9)"
+
+
 def test_commented_query_answers_the_same(ab_mat):
     commented = "# the best result\n" + BEST_RESULT.replace("\n", "  # a note\n")
     query = parse_sparql(commented)
