@@ -20,7 +20,7 @@ from typing import Union
 
 from . import scan, vocab
 from .kb import KnowledgeBase
-from .terms import AUT_NS, DEFAULT_PREFIXES, SSD_NS, Iri, Literal, RDF_TYPE, Term
+from .terms import AUT_NS, DEFAULT_PREFIXES, SSD_NS, Iri, Literal, Term
 
 
 class DlSyntaxError(Exception):

@@ -90,6 +90,7 @@ def test_syntax_errors(text):
     [
         # an unknown token is reported from the end of the previous token
         ("Result  $", "unknown token near '  $'", 6),
+        ("Result $ and a longer tail", "unknown token near ' $ and a l'", 6),
         ("-5", "unknown token near '-5'", 0),
         ("Résultat", "unknown token near 'ésultat'", 1),
         # DL takes no `#` comments

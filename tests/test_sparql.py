@@ -79,6 +79,11 @@ _Q = "SELECT ?x WHERE { ?x <http://e.org/p> ?y }"
     [
         # an unknown token is reported from the end of the previous token
         ("SELECT  $", "unknown token near '  $'", 6),
+        (
+            "SELECT ?x WHERE { ?x a ?y } $ and a longer tail",
+            "unknown token near ' $ and a lon'",
+            27,
+        ),
         ("SELECT ?x WHERE { ?x a ?y $ }", "unknown token near ' $ }'", 25),
         # the first unknown token wins over an earlier grammar error
         ("SELECT ?x WHERE { ?x nope:p ?y } $", "unknown token near ' $'", 32),
