@@ -7,8 +7,8 @@ angle brackets, the `a` keyword, `;` predicate lists, `.` terminators,
 scope.
 
 The reader makes one pass over the text with the regex and error rule of
-`scan`. Its statement loop calls `next` on the regex's `finditer` directly,
-with no call of its own per token.
+`scan`. Its statement loop calls `next` on `finditer` itself rather than go
+through `scan.Cursor`, which would add a Python call per token.
 
 Within one document, every distinct IRI, prefixed name, blank-node label
 and literal token is turned into a term once, and all its occurrences share
