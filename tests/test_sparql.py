@@ -1,8 +1,9 @@
 import json
+from collections import defaultdict
 from decimal import Decimal
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import QUERIES, edited_queries
@@ -15,8 +16,10 @@ from ssdkb.sparql import (
     parse_sparql,
 )
 from ssdkb.classify import materialize_types
-from ssdkb.kb import empty_kb, graph_to_kb
-from ssdkb.terms import Literal, aut, local_name, ssd
+from ssdkb.generate import GenProfile, generate_studies
+from ssdkb.kb import KnowledgeBase, empty_kb, graph_to_kb
+from ssdkb.sparql import BindingTable
+from ssdkb.terms import Iri, Literal, Term, aut, local_name, ssd
 from ssdkb.turtle import parse_turtle
 from ssdkb.vocab import AB_DESIGN
 
@@ -254,3 +257,225 @@ def test_parse_sparql_is_total(text):
     except SparqlSyntaxError:
         return
     assert isinstance(query, SparqlQuery)
+
+
+# --- the evaluator against the seed's dict-per-row join ---
+
+
+def _reference_resolved(pattern: TriplePattern, binding: dict):
+    def resolve(x):
+        if isinstance(x, Var):
+            return binding.get(x.name)
+        return x
+
+    return resolve(pattern.subject), resolve(pattern.predicate), resolve(pattern.object)
+
+
+def _reference_sort_key_for(term: Term) -> tuple:
+    if isinstance(term, Literal) and term.datatype in ("integer", "decimal"):
+        return (0, term.as_decimal())
+    return (1, term)
+
+
+def reference_eval_sparql(query: SparqlQuery, kb: KnowledgeBase) -> BindingTable:
+    """The seed's evaluator, kept verbatim: one dict per row, each pattern
+    resolved against every binding, and a paired double sort for ORDER BY."""
+    index = kb.index()
+
+    # greedy most-selective-first join order, re-estimated against a
+    # representative binding at each step; semantics are order-independent
+    remaining = list(query.patterns)
+    bindings: list[dict[str, Term]] = [{}]
+    while remaining:
+        rep = bindings[0] if bindings else {}
+        pattern = min(
+            remaining, key=lambda p: len(index.candidates(*_reference_resolved(p, rep)))
+        )
+        remaining.remove(pattern)
+        slots = (pattern.subject, pattern.predicate, pattern.object)
+        next_bindings = []
+        for binding in bindings:
+            for t in index.candidates(*_reference_resolved(pattern, binding)):
+                extended = dict(binding)
+                ok = True
+                for slot, value in zip(slots, t):
+                    if isinstance(slot, Var):
+                        bound = extended.get(slot.name)
+                        if bound is None:
+                            extended[slot.name] = value
+                        elif bound != value:
+                            ok = False
+                            break
+                if ok:
+                    next_bindings.append(extended)
+        bindings = next_bindings
+        if not bindings:
+            break
+
+    rows = [tuple(b[v] for v in query.select_vars) for b in bindings]
+
+    if query.order_by is not None:
+        var, direction = query.order_by
+        reverse = direction == "DESC"
+
+        def key(row_binding):
+            row, binding = row_binding
+            return _reference_sort_key_for(binding[var])
+
+        paired = sorted(
+            zip(rows, bindings),
+            key=lambda rb: (key(rb), rb[0]),
+        )
+        if reverse:
+            # reverse only the order key, keep the lexicographic tiebreak stable
+            paired = sorted(
+                paired,
+                key=lambda rb: key(rb),
+                reverse=True,
+            )
+        rows = [row for row, _ in paired]
+    else:
+        rows.sort()
+
+    if query.limit is not None:
+        rows = rows[: query.limit]
+    return BindingTable(header=query.select_vars, rows=rows)
+
+
+_SMALL = materialize_types(generate_studies(200, GenProfile(seed=1)))
+_TRIPLES = sorted(_SMALL.all_triples())
+# node -> the triples it is the subject or object of
+_TOUCHING = defaultdict(list)
+for _t in _TRIPLES:
+    _TOUCHING[_t.subject].append(_t)
+    if _t.object != _t.subject:
+        _TOUCHING[_t.object].append(_t)
+# a walk joins only through nodes with at most this many triples, so that no
+# drawn query joins two patterns on a class or another hub
+_MAX_LINK_DEGREE = 60
+
+
+@st.composite
+def connected_bgps(draw):
+    """A query of 1-4 patterns taken from a walk over the corpus's triples,
+    so most have rows. Each pattern after the first shares a node with an
+    earlier one, and that node becomes a variable. Any other node is a
+    constant or a variable, which sometimes reuses an earlier name, but at
+    most one pattern has no constant subject or object, so that no query
+    takes the product of two whole predicates. A pattern sometimes repeats
+    its subject variable as its object, and at most one predicate, in a
+    pattern with a constant low-degree subject, is a variable."""
+    walk = [draw(st.sampled_from(_TRIPLES))]
+    links = set()
+    for _ in range(draw(st.integers(0, 3))):
+        nodes = sorted(
+            n
+            for n in {x for t in walk for x in (t.subject, t.object)}
+            if len(_TOUCHING[n]) <= _MAX_LINK_DEGREE
+            and not any({t.subject, t.object} - {n} & links for t in walk if n in (t.subject, t.object))
+        )
+        if not nodes:
+            break
+        node = draw(st.sampled_from(nodes))
+        links.add(node)
+        walk.append(draw(st.sampled_from(_TOUCHING[node])))
+
+    mapped = {node: Var(f"v{i}") for i, node in enumerate(sorted(links))}
+    bare = 0
+    patterns = []
+    for t in walk:
+        for node, other in ((t.subject, t.object), (t.object, t.subject)):
+            if node in mapped:
+                continue
+            mapped[node] = node
+            if draw(st.booleans()) and (bare == 0 or not isinstance(mapped.get(other), Var)):
+                names = sorted({v.name for v in mapped.values() if isinstance(v, Var)})
+                if names and draw(st.integers(0, 5)) == 0:
+                    mapped[node] = Var(draw(st.sampled_from(names)))
+                else:
+                    mapped[node] = Var(f"v{len(mapped)}")
+        subject, predicate, obj = mapped[t.subject], t.predicate, mapped[t.object]
+        if isinstance(subject, Var) and isinstance(obj, Var):
+            bare += 1
+        elif isinstance(subject, Var) and draw(st.integers(0, 7)) == 0:
+            obj = subject
+        elif (
+            not isinstance(subject, Var)
+            and len(_TOUCHING[subject]) <= _MAX_LINK_DEGREE
+            and not any(isinstance(p.predicate, Var) for p in patterns)
+            and draw(st.integers(0, 2)) == 0
+        ):
+            # `candidates` scans the whole store for a variable predicate
+            predicate = Var("p")
+        patterns.append(TriplePattern(subject, predicate, obj))
+
+    names = sorted(
+        {x.name for p in patterns for x in (p.subject, p.predicate, p.object) if isinstance(x, Var)}
+    )
+    if not names:
+        return draw(connected_bgps())
+    select_vars = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+    order_by = draw(st.none() | st.tuples(st.sampled_from(names), st.sampled_from(["ASC", "DESC"])))
+    limit = draw(st.none() | st.integers(1, 5))
+    return SparqlQuery(tuple(select_vars), tuple(patterns), order_by, limit)
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_bgps())
+def test_eval_sparql_matches_the_reference(query):
+    assert eval_sparql(query, _SMALL).rows == reference_eval_sparql(query, _SMALL).rows
+
+
+_EX = "http://e.org/#"
+_EX_KB = graph_to_kb(
+    parse_turtle(
+        f"@prefix ex: <{_EX}> .\n"
+        "ex:a ex:p ex:a ; ex:p ex:b .\n"
+        "ex:b ex:p ex:c .\n"
+        "ex:a ex:score 2 ; ex:label \"x\" .\n"
+        "ex:b ex:score 2 ; ex:label \"y\" .\n"
+        "ex:c ex:score 1.5 ; ex:label \"x\" .\n"
+        "ex:d ex:score 2 .\n"
+    )
+)
+
+
+def _ex(name):
+    return Iri(_EX + name)
+
+
+@pytest.mark.parametrize(
+    "where, expected",
+    [
+        # a triple whose subject is its object
+        ("SELECT ?x WHERE { ?x ex:p ?x }", [("a",)]),
+        ("SELECT ?x ?y WHERE { ?x ex:p ?y . ?y ex:p ?y }", [("a", "a")]),
+        # a variable predicate
+        (
+            "SELECT ?p ?o WHERE { ex:a ?p ?o }",
+            [("label", "x"), ("p", "a"), ("p", "b"), ("score", "2")],
+        ),
+        ("SELECT ?s WHERE { ?s ?p ex:b }", [("a",)]),
+        # a variable bound to a literal, then reused
+        ("SELECT ?y WHERE { ex:c ex:label ?l . ?y ex:label ?l }", [("a",), ("c",)]),
+        ("SELECT ?s ?t WHERE { ?s ex:score ?v . ?t ex:score ?v . ?s ex:p ?t }", [("a", "a"), ("a", "b")]),
+        # DESC reverses only the key; ties keep the whole row ascending
+        (
+            "SELECT ?s ?v WHERE { ?s ex:score ?v } ORDER BY DESC(?v)",
+            [("a", "2"), ("b", "2"), ("d", "2"), ("c", "1.5")],
+        ),
+        ("SELECT ?s WHERE { ?s ex:score ?v } ORDER BY DESC(?v)", [("a",), ("b",), ("d",), ("c",)]),
+        (
+            "SELECT ?l ?s WHERE { ?s ex:label ?l } ORDER BY DESC(?l)",
+            [("y", "b"), ("x", "a"), ("x", "c")],
+        ),
+        # LIMIT applies after ORDER BY
+        ("SELECT ?s ?v WHERE { ?s ex:score ?v } ORDER BY ASC(?v) LIMIT 2", [("c", "1.5"), ("a", "2")]),
+        ("SELECT ?s WHERE { ?s ex:score ?v } ORDER BY DESC(?v) LIMIT 1", [("a",)]),
+    ],
+)
+def test_join_and_order_cases(where, expected):
+    query = parse_sparql(f"PREFIX ex: <{_EX}> " + where)
+    rows = eval_sparql(query, _EX_KB).rows
+    assert rows == reference_eval_sparql(query, _EX_KB).rows
+    assert [tuple(local_name(t) if isinstance(t, Iri) else t.lexical for t in row) for row in rows] == expected
