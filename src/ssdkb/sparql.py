@@ -2,16 +2,20 @@
 patterns (with `;` lists and `a`), ORDER BY ASC|DESC(?v), LIMIT n, and
 `#` comments.
 
-Evaluation is bag-semantics join over asserted plus inferred triples;
-rows are ordered by the ORDER BY key (numeric when values are numeric)
-with a lexicographic tiebreak over the whole row, so output is
-deterministic.
+Queries run over asserted plus inferred triples, with bag semantics. The
+patterns are joined greedily, smallest candidate set first: the next
+pattern is the one with the fewest matching triples for the first row
+joined so far. Rows are ordered by the ORDER BY key, numerically when its
+values are numbers, with ties broken by the whole selected row ascending;
+DESC reverses only the key. Without ORDER BY, rows are sorted. LIMIT
+applies after ordering.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional, Union
 
 from . import scan
@@ -235,79 +239,77 @@ def parse_sparql(text: str) -> SparqlQuery:
 # --- evaluation ---
 
 
-def _resolved(pattern: TriplePattern, binding: dict):
-    def resolve(x):
-        if isinstance(x, Var):
-            return binding.get(x.name)
-        return x
-
-    return resolve(pattern.subject), resolve(pattern.predicate), resolve(pattern.object)
-
-
 def _sort_key_for(term: Term) -> tuple:
     if isinstance(term, Literal) and term.datatype in ("integer", "decimal"):
         return (0, term.as_decimal())
     return (1, term)
 
 
+class _Step:
+    """`pattern` as the join's next step, over rows that hold each variable
+    bound so far at its place in `column`."""
+
+    def __init__(self, pattern: TriplePattern, column: dict[str, int]):
+        self.pattern = pattern
+        slots = (pattern.subject, pattern.predicate, pattern.object)
+        # `get(row + terms)` gives `candidates` each constant from `terms`,
+        # each bound variable from the row, and None for a new variable
+        self.terms = tuple(None if isinstance(t, Var) else t for t in slots)
+        width = len(column)
+        self.get = itemgetter(*(
+            column.get(t.name, width + j) if isinstance(t, Var) else width + j
+            for j, t in enumerate(slots)
+        ))
+        # each new variable's first position in a triple, and the pairs of
+        # positions that one new variable fills (`?x p ?x`)
+        self.new: dict[str, int] = {}
+        self.repeats: list[tuple[int, int]] = []
+        for j, t in enumerate(slots):
+            if isinstance(t, Var) and t.name not in column:
+                if t.name in self.new:
+                    self.repeats.append((self.new[t.name], j))
+                else:
+                    self.new[t.name] = j
+
+    def candidates(self, index, row: tuple) -> list:
+        return index.candidates(*self.get(row + self.terms))
+
+
 def eval_sparql(query: SparqlQuery, kb: KnowledgeBase) -> BindingTable:
     index = kb.index()
-
-    # greedy most-selective-first join order, re-estimated against a
-    # representative binding at each step; semantics are order-independent
+    column: dict[str, int] = {}  # variable -> its place in every row
+    rows: list[tuple[Term, ...]] = [()]
     remaining = list(query.patterns)
-    bindings: list[dict[str, Term]] = [{}]
-    while remaining:
-        rep = bindings[0] if bindings else {}
-        pattern = min(
-            remaining, key=lambda p: len(index.candidates(*_resolved(p, rep)))
+    while remaining and rows:
+        step = min(
+            (_Step(p, column) for p in remaining), key=lambda s: len(s.candidates(index, rows[0]))
         )
-        remaining.remove(pattern)
-        slots = (pattern.subject, pattern.predicate, pattern.object)
-        next_bindings = []
-        for binding in bindings:
-            for t in index.candidates(*_resolved(pattern, binding)):
-                extended = dict(binding)
-                ok = True
-                for slot, value in zip(slots, t):
-                    if isinstance(slot, Var):
-                        bound = extended.get(slot.name)
-                        if bound is None:
-                            extended[slot.name] = value
-                        elif bound != value:
-                            ok = False
-                            break
-                if ok:
-                    next_bindings.append(extended)
-        bindings = next_bindings
-        if not bindings:
-            break
+        remaining.remove(step.pattern)
+        # `candidates` matched the constants and the bound variables, so a
+        # row only takes the new variables' values
+        places, repeats = list(step.new.values()), step.repeats
+        rows = [
+            row + tuple([t[j] for j in places])
+            for row in rows
+            for t in step.candidates(index, row)
+            if not repeats or all(t[i] == t[j] for i, j in repeats)
+        ]
+        for name in step.new:
+            column[name] = len(column)
+    if not rows:
+        return BindingTable(header=query.select_vars)
 
-    rows = [tuple(b[v] for v in query.select_vars) for b in bindings]
-
-    if query.order_by is not None:
-        var, direction = query.order_by
-        reverse = direction == "DESC"
-
-        def key(row_binding):
-            row, binding = row_binding
-            return _sort_key_for(binding[var])
-
-        paired = sorted(
-            zip(rows, bindings),
-            key=lambda rb: (key(rb), rb[0]),
-        )
-        if reverse:
-            # reverse only the order key, keep the lexicographic tiebreak stable
-            paired = sorted(
-                paired,
-                key=lambda rb: key(rb),
-                reverse=True,
-            )
-        rows = [row for row, _ in paired]
+    picked = [column[v] for v in query.select_vars]
+    selected = [tuple([row[c] for c in picked]) for row in rows]
+    if query.order_by is None:
+        selected.sort()
     else:
-        rows.sort()
-
+        var, direction = query.order_by
+        at = column[var]
+        keyed = sorted(zip([_sort_key_for(row[at]) for row in rows], selected))
+        if direction == "DESC":
+            keyed.sort(key=itemgetter(0), reverse=True)  # stable: ties stay ascending
+        selected = [row for _, row in keyed]
     if query.limit is not None:
-        rows = rows[: query.limit]
-    return BindingTable(header=query.select_vars, rows=rows)
+        selected = selected[: query.limit]
+    return BindingTable(header=query.select_vars, rows=selected)
