@@ -3,6 +3,7 @@ materialization of inferred type assertions."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -36,51 +37,16 @@ def item_signature(item: MBDItem) -> str:
     return "".join(p.kind.letter for p in sorted(item.phases, key=lambda p: p.position))
 
 
-def _strip_follow_up(sig: str) -> str:
-    return sig[:-1] if sig.endswith("F") else sig
-
-
-def _is_ab(sig: str) -> bool:
-    return _strip_follow_up(sig) == "BI"
-
-
-def _is_abab(sig: str) -> bool:
-    return _strip_follow_up(sig) == "BIBI"
-
-
-def _is_withdrawal(sig: str) -> bool:
-    """B (I B)+ with optional trailing I: intervention is withdrawn at
-    least once, so at least three non-follow-up phases."""
-    core = _strip_follow_up(sig)
-    if len(core) < 3 or "A" in core or "F" in core:
-        return False
-    for i, letter in enumerate(core):
-        expected = "B" if i % 2 == 0 else "I"
-        if letter != expected:
-            return False
-    return True
-
-
-def _is_alternating(sig: str) -> bool:
-    return _strip_follow_up(sig) == "BA"
-
-
-def _is_simple(sig: str) -> bool:
-    """One baseline then a single intervention episode of one or more
-    simple-intervention phases."""
-    core = _strip_follow_up(sig)
-    return len(core) >= 2 and core[0] == "B" and set(core[1:]) == {"I"}
-
-
-SignaturePredicate = Callable[[str], bool]
-
-# design class -> signature predicate, most specific entries included
-PATTERN_TABLE: dict[Iri, SignaturePredicate] = {
-    vocab.AB_DESIGN: _is_ab,
-    vocab.ABAB_DESIGN: _is_abab,
-    vocab.WITHDRAWAL_DESIGN: _is_withdrawal,
-    vocab.ALTERNATING_TREATMENT_DESIGN: _is_alternating,
-    vocab.SIMPLE_DESIGN: _is_simple,
+# design class -> the phase signatures it takes, most specific entries
+# included: B baseline, I simple intervention, A alternating intervention,
+# F an optional closing follow-up. A withdrawal design withdraws the
+# intervention at least once; a simple design has one intervention episode.
+PATTERN_TABLE: dict[Iri, re.Pattern] = {
+    vocab.AB_DESIGN: re.compile("BIF?"),
+    vocab.ABAB_DESIGN: re.compile("BIBIF?"),
+    vocab.WITHDRAWAL_DESIGN: re.compile("B(?:IB)+I?F?"),
+    vocab.ALTERNATING_TREATMENT_DESIGN: re.compile("BAF?"),
+    vocab.SIMPLE_DESIGN: re.compile("BI+F?"),
 }
 
 
@@ -111,7 +77,7 @@ def classify_study(study: Study, taxonomy: Taxonomy) -> Classification:
         return Classification(classes=_close_upward({outcome}, taxonomy))
 
     sig = phase_signature(study)
-    matched = {cls for cls, pred in PATTERN_TABLE.items() if pred(sig)}
+    matched = {cls for cls, pattern in PATTERN_TABLE.items() if pattern.fullmatch(sig)}
     if not matched:
         return Classification(
             classes=frozenset({vocab.SINGLE_SUBJECT_DESIGN}),
@@ -130,10 +96,9 @@ def classify_design(study: Study, taxonomy: Taxonomy) -> frozenset[Iri]:
     return classify_study(study, taxonomy).classes
 
 
-_ITEM_TYPE_PREDICATES: dict[Iri, SignaturePredicate] = {
-    vocab.SIMPLE_DESIGN: _is_simple,
-    vocab.WITHDRAWAL_DESIGN: _is_withdrawal,
-    vocab.ALTERNATING_TREATMENT_DESIGN: _is_alternating,
+_ITEM_TYPE_PATTERNS = {
+    cls: PATTERN_TABLE[cls]
+    for cls in (vocab.SIMPLE_DESIGN, vocab.WITHDRAWAL_DESIGN, vocab.ALTERNATING_TREATMENT_DESIGN)
 }
 
 _MBD_DIMENSION_CLASS = {
@@ -158,14 +123,14 @@ def classify_mbd(study: Study) -> Iri | Violation:
 
     item_type = study.mbd_item_type
     if item_type is not None:
-        predicate = _ITEM_TYPE_PREDICATES.get(item_type)
-        if predicate is None:
+        pattern = _ITEM_TYPE_PATTERNS.get(item_type)
+        if pattern is None:
             return Violation(
                 "MBDUnknownItemType", study.id, f"unsupported item type {item_type}"
             )
         for item in study.mbd_items:
             sig = item_signature(item)
-            if not predicate(sig):
+            if not pattern.fullmatch(sig):
                 return Violation(
                     "MBDItemSignatureMismatch",
                     item.id,

@@ -6,6 +6,7 @@ import pytest
 from conftest import load_kb
 from ssdkb import vocab
 from ssdkb.classify import (
+    PATTERN_TABLE,
     ClassificationError,
     classify_design,
     classify_mbd,
@@ -130,6 +131,62 @@ def test_exhaustive_signatures_match_oracle():
         assert got == _oracle(sig), sig
         count += 1
     assert count > 1000
+
+
+# the signature predicates that the pattern table replaced, kept as its reference
+
+
+def _strip_follow_up(sig: str) -> str:
+    return sig[:-1] if sig.endswith("F") else sig
+
+
+def _is_ab(sig: str) -> bool:
+    return _strip_follow_up(sig) == "BI"
+
+
+def _is_abab(sig: str) -> bool:
+    return _strip_follow_up(sig) == "BIBI"
+
+
+def _is_withdrawal(sig: str) -> bool:
+    core = _strip_follow_up(sig)
+    if len(core) < 3 or "A" in core or "F" in core:
+        return False
+    for i, letter in enumerate(core):
+        expected = "B" if i % 2 == 0 else "I"
+        if letter != expected:
+            return False
+    return True
+
+
+def _is_alternating(sig: str) -> bool:
+    return _strip_follow_up(sig) == "BA"
+
+
+def _is_simple(sig: str) -> bool:
+    core = _strip_follow_up(sig)
+    return len(core) >= 2 and core[0] == "B" and set(core[1:]) == {"I"}
+
+
+_REFERENCE_PREDICATES = {
+    vocab.AB_DESIGN: _is_ab,
+    vocab.ABAB_DESIGN: _is_abab,
+    vocab.WITHDRAWAL_DESIGN: _is_withdrawal,
+    vocab.ALTERNATING_TREATMENT_DESIGN: _is_alternating,
+    vocab.SIMPLE_DESIGN: _is_simple,
+}
+
+
+def test_pattern_table_equals_the_reference_predicates():
+    assert PATTERN_TABLE.keys() == _REFERENCE_PREDICATES.keys()
+    count = 0
+    for length in range(9):
+        for letters in product("BIAF", repeat=length):
+            sig = "".join(letters)
+            for cls, pattern in PATTERN_TABLE.items():
+                assert (pattern.fullmatch(sig) is not None) == _REFERENCE_PREDICATES[cls](sig), (cls, sig)
+            count += 1
+    assert count == (4**9 - 1) // 3  # every signature of length 0 to 8
 
 
 def test_family_exclusivity():
