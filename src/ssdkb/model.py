@@ -61,13 +61,6 @@ class Phase:
 
 
 @dataclass(frozen=True)
-class Outcome:
-    id: Term
-    class_ref: Optional[Iri] = None
-    form: Optional[str] = None  # one of vocab.OUTCOME_FORMS
-
-
-@dataclass(frozen=True)
 class Result:
     id: Term
     value: Decimal

@@ -82,7 +82,3 @@ PROPERTIES: frozenset[Iri] = frozenset(
         HAS_MBD_ITEM_TYPE,
     }
 )
-
-# Outcome measurement forms (individuals, objects of inFormOf).
-OUTCOME_FORMS = ("percentage", "magnitude", "duration", "frequency", "interval")
-FORM_IRIS = tuple(ssd(name) for name in OUTCOME_FORMS)
