@@ -57,23 +57,6 @@ def test_keywords_are_case_insensitive():
     assert query.limit == 3
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "SELECT ?x WHERE { ?y <http://e.org/p> <http://e.org/o> }",
-        "SELECT ?x WHERE { ?x <http://e.org/p> ?y } order by ASC(?z)",
-        "SELECT ?x WHERE ?x <http://e.org/p> ?y",
-        "SELECT WHERE { ?x <http://e.org/p> ?y }",
-        "SELECT ?x WHERE { ?x nope:p ?y }",
-        "SELECT ?x WHERE { ?x <http://e.org/p> ?y } LIMIT nope",
-        'SELECT ?x WHERE { ?x <http://e.org/p> "\\q" }',
-    ],
-)
-def test_syntax_and_scope_errors(text):
-    with pytest.raises(SparqlSyntaxError):
-        parse_sparql(text)
-
-
 _Q = "SELECT ?x WHERE { ?x <http://e.org/p> ?y }"
 
 
