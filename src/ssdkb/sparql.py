@@ -3,12 +3,10 @@ patterns (with `;` lists and `a`), ORDER BY ASC|DESC(?v), LIMIT n, and
 `#` comments.
 
 Queries run over asserted plus inferred triples, with bag semantics. The
-patterns are joined greedily, smallest candidate set first: the next
-pattern is the one with the fewest matching triples for the first row
-joined so far. Rows are ordered by the ORDER BY key, numerically when its
-values are numbers, with ties broken by the whole selected row ascending;
-DESC reverses only the key. Without ORDER BY, rows are sorted. LIMIT
-applies after ordering.
+patterns are joined greedily, smallest candidate set (for the first row
+so far) first. Rows are ordered by the ORDER BY key, numerically for
+numbers, with ties broken by the whole selected row ascending; DESC
+reverses only the key. Without ORDER BY, rows are sorted.
 """
 
 from __future__ import annotations
@@ -266,13 +264,9 @@ class _Step:
         self.repeats: list[tuple[int, int]] = []
         for j, t in enumerate(slots):
             if isinstance(t, Var) and t.name not in column:
-                if t.name in self.new:
-                    self.repeats.append((self.new[t.name], j))
-                else:
-                    self.new[t.name] = j
-
-    def candidates(self, index, row: tuple) -> list:
-        return index.candidates(*self.get(row + self.terms))
+                first = self.new.setdefault(t.name, j)
+                if first != j:
+                    self.repeats.append((first, j))
 
 
 def eval_sparql(query: SparqlQuery, kb: KnowledgeBase) -> BindingTable:
@@ -282,7 +276,8 @@ def eval_sparql(query: SparqlQuery, kb: KnowledgeBase) -> BindingTable:
     remaining = list(query.patterns)
     while remaining and rows:
         step = min(
-            (_Step(p, column) for p in remaining), key=lambda s: len(s.candidates(index, rows[0]))
+            (_Step(p, column) for p in remaining),
+            key=lambda s: len(index.candidates(*s.get(rows[0] + s.terms))),
         )
         remaining.remove(step.pattern)
         # `candidates` matched the constants and the bound variables, so a
@@ -291,7 +286,7 @@ def eval_sparql(query: SparqlQuery, kb: KnowledgeBase) -> BindingTable:
         rows = [
             row + tuple([t[j] for j in places])
             for row in rows
-            for t in step.candidates(index, row)
+            for t in index.candidates(*step.get(row + step.terms))
             if not repeats or all(t[i] == t[j] for i, j in repeats)
         ]
         for name in step.new:
@@ -305,8 +300,7 @@ def eval_sparql(query: SparqlQuery, kb: KnowledgeBase) -> BindingTable:
         selected.sort()
     else:
         var, direction = query.order_by
-        at = column[var]
-        keyed = sorted(zip([_sort_key_for(row[at]) for row in rows], selected))
+        keyed = sorted(zip([_sort_key_for(row[column[var]]) for row in rows], selected))
         if direction == "DESC":
             keyed.sort(key=itemgetter(0), reverse=True)  # stable: ties stay ascending
         selected = [row for _, row in keyed]
