@@ -291,7 +291,7 @@ def eval_sparql(query: SparqlQuery, kb: KnowledgeBase) -> BindingTable:
         ]
         for name in step.new:
             column[name] = len(column)
-    if not rows:
+    if not rows:  # the patterns left unjoined gave their variables no column
         return BindingTable(header=query.select_vars)
 
     picked = [column[v] for v in query.select_vars]

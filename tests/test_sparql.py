@@ -355,7 +355,7 @@ def connected_bgps(draw):
             n
             for n in {x for t in walk for x in (t.subject, t.object)}
             if len(_TOUCHING[n]) <= _MAX_LINK_DEGREE
-            and not any({t.subject, t.object} - {n} & links for t in walk if n in (t.subject, t.object))
+            and not any(({t.subject, t.object} - {n}) & links for t in walk if n in (t.subject, t.object))
         )
         if not nodes:
             break
