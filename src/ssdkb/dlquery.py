@@ -9,17 +9,28 @@ Grammar (left-associative `and`):
            | prop 'value' Ind
            | '{' Ind (',' Ind)* '}'
            | '(' Expr ')'
+
+Evaluation resolves every name first, so an unknown name raises even
+where an empty conjunct makes the rest moot. A facet is a range of the
+store's sorted numeric table for the property. An `and` evaluates its
+other conjuncts bottom-up into a seed, then takes each `some` conjunct
+either bottom-up (build the filler's members, join them through the
+property, intersect) or top-down (test each seed member through its
+subject lookups), whichever the store's per-predicate statistics say
+visits fewer nodes. The store builds those tables at the first query
+that needs them.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from decimal import Decimal
-from typing import Union
+from operator import itemgetter
+from typing import Callable, Union
 
 from . import scan, vocab
-from .kb import KnowledgeBase
+from .kb import NUMBER, KnowledgeBase
 from .terms import AUT_NS, DEFAULT_PREFIXES, SSD_NS, Iri, Literal, Term
 
 
@@ -170,22 +181,36 @@ def parse_dl_query(text: str) -> ClassExpr:
 # --- evaluation ---
 
 _OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "=": operator.eq}
-# a literal's value, by its datatype (`Literal` is `(2, datatype, lexical)`)
-_NUMBER = {"integer": int, "decimal": Decimal}
+# the slice of an ascending list `v` whose values satisfy `op b`
+_RANGES = {
+    "<": lambda v, b: (0, bisect_left(v, b)),
+    "<=": lambda v, b: (0, bisect_right(v, b)),
+    ">": lambda v, b: (bisect_right(v, b), len(v)),
+    ">=": lambda v, b: (bisect_left(v, b), len(v)),
+    "=": lambda v, b: (bisect_left(v, b), bisect_right(v, b)),
+}
+_OBJECT = itemgetter(2)
+# What one node visited top-down (a lookup or a test through a compiled
+# closure) costs, in members touched bottom-up (a set insert).
+TOP_DOWN_COST = 2.0
 
 
 class DlEvaluator:
     """Evaluates class expressions against a kb's triple store (`kb.index()`),
     asserted plus any inferred triples. `eval` reads the store's tables and
-    may return one of the store's own sets; `eval_dl_query` copies it."""
+    may return one of the store's own sets; `eval_dl_query` copies it.
+    `paths` records each `some` conjunct of an `and` that was evaluated,
+    and whether it went "bottom-up" or "top-down"."""
 
     def __init__(self, kb: KnowledgeBase):
         self.kb = kb
-        index = kb.index()
+        self.store = index = kb.index()
         self.by_predicate = index.by_p
         self.by_po = index.by_po
+        self.by_sp = index.by_sp
         self.type_index = index.type_index
         self.individuals = index.individual_iris
+        self.paths: list[tuple[Some, str]] = []
 
     def resolve_class(self, name: str) -> Iri:
         iri = self._resolve_name(name)
@@ -212,31 +237,68 @@ class DlEvaluator:
             prefix, local = name.split(":", 1)
             ns = DEFAULT_PREFIXES.get(prefix)
             return Iri(ns + local) if ns else None
+        core = None
         for ns in (SSD_NS, AUT_NS):
             candidate = ns + name
-            if candidate in self.individuals or self.kb.taxonomy.contains(Iri(candidate)):
-                return Iri(candidate)
+            iri = Iri(candidate)
+            if self.kb.taxonomy.contains(iri) or candidate in self.individuals:
+                return iri
+            core = core or iri
         # default to the core namespace for names the kb has not seen
-        return Iri(SSD_NS + name)
+        return core
 
     def eval(self, expr: ClassExpr) -> set[Term]:
         """The members of `expr`: a set that callers must not change."""
-        if isinstance(expr, NamedClass):
-            return self.type_index.get(self.resolve_class(expr.name), set())
-        if isinstance(expr, And):
-            # a conjunction chain leans left; walk its spine, not the stack.
-            # Every conjunct is evaluated, so a bad name raises even after an
-            # empty one; intersecting smallest first touches the fewest members.
-            conjuncts = []
-            while isinstance(expr, And):
-                conjuncts.append(expr.right)
-                expr = expr.left
-            conjuncts.append(expr)
-            sets = sorted((self.eval(c) for c in reversed(conjuncts)), key=len)
-            return sets[0].intersection(*sets[1:])
-        if isinstance(expr, Some):
-            prop = self.resolve_property(expr.prop)
-            members = self.eval(expr.filler)
+        return self._members(self._resolve(expr))
+
+    def _resolve(self, expr: ClassExpr) -> tuple:
+        """`expr` with every name resolved, once, so that an unknown name
+        raises before anything is evaluated. A node is ("set", members),
+        ("value", prop, individual, triples), ("range", prop, op, bound,
+        subjects in range), ("some", prop, filler, expr) or ("and",
+        conjuncts)."""
+        kind = type(expr)
+        if kind is And:
+            # a conjunction chain leans left, and a bracketed one may lean
+            # right; walk them with a stack, not the call stack
+            conjuncts, stack = [], [expr]
+            while stack:
+                e = stack.pop()
+                if type(e) is And:
+                    stack += (e.right, e.left)
+                else:
+                    conjuncts.append(self._resolve(e))
+            return ("and", conjuncts)
+        if kind is NamedClass:
+            return ("set", self.type_index.get(self.resolve_class(expr.name), set()))
+        if kind is OneOf:
+            return ("set", {self.resolve_individual(name) for name in expr.individuals})
+        prop = self.resolve_property(expr.prop)
+        if kind is Some:
+            return ("some", prop, self._resolve(expr.filler), expr)
+        if kind is Value:
+            individual = self.resolve_individual(expr.individual)
+            return ("value", prop, individual, self.by_po.get((prop, individual), ()))
+        if kind is DataSome:
+            values, subjects = self.store.numbers(prop)
+            start, stop = _RANGES[expr.op](values, expr.bound)
+            return ("range", prop, expr.op, expr.bound, subjects[start:stop])
+        raise TypeError(f"not a class expression: {expr!r}")
+
+    def _members(self, node: tuple) -> set[Term]:
+        """`node`'s members, evaluated bottom-up but for the `some`
+        conjuncts of an `and` that are cheaper to test on its other
+        conjuncts' members."""
+        kind = node[0]
+        if kind == "set":
+            return node[1]
+        if kind == "value":
+            return {s for s, _, _ in node[3]}
+        if kind == "range":
+            return set(node[4])
+        if kind == "some":
+            prop, filler = node[1], node[2]
+            members = filler[1] if filler[0] == "set" else self._members(filler)
             triples = self.by_predicate.get(prop, ())
             # one lookup per filler member, or one pass over the property's
             # triples, whichever touches fewer
@@ -244,22 +306,99 @@ class DlEvaluator:
                 by_po = self.by_po
                 return {s for m in members for s, _, _ in by_po.get((prop, m), ())}
             return {s for s, _, o in triples if o in members}
-        if isinstance(expr, Value):
-            prop = self.resolve_property(expr.prop)
-            individual = self.resolve_individual(expr.individual)
-            return {s for s, _, _ in self.by_po.get((prop, individual), ())}
-        if isinstance(expr, OneOf):
-            return {self.resolve_individual(name) for name in expr.individuals}
-        if isinstance(expr, DataSome):
-            prop = self.resolve_property(expr.prop)
-            compare, bound = _OPS[expr.op], expr.bound
-            out = set()
-            for s, _, o in self.by_predicate.get(prop, ()):
-                number = _NUMBER.get(o[1]) if isinstance(o, Literal) else None
-                if number is not None and compare(number(o[2]), bound):
-                    out.add(s)
-            return out
-        raise TypeError(f"not a class expression: {expr!r}")
+        # "and": the other conjuncts give the seed (with none, the `some`
+        # conjunct that is cheapest bottom-up does); each `some` conjunct then
+        # joins it bottom-up, or filters it top-down if that visits fewer nodes
+        found, somes = [], []
+        for c in node[1]:
+            if c[0] == "some":
+                somes.append(c)
+            else:
+                found.append(c[1] if c[0] == "set" else self._members(c))
+        if not found:
+            first = min(somes, key=lambda c: self._estimate(c)[0])
+            somes.remove(first)
+            self.paths.append((first[3], "bottom-up"))
+            found.append(self._members(first))
+        smallest = min(map(len, found))
+        down = []
+        for some in somes:
+            if not smallest:
+                break
+            top_down = self._top_down(some, smallest)
+            self.paths.append((some[3], "top-down" if top_down else "bottom-up"))
+            if top_down:
+                down.append(some)
+            else:
+                found.append(self._members(some))
+                smallest = min(smallest, len(found[-1]))
+        members = found[0].intersection(*found[1:]) if len(found) > 1 else found[0]
+        for some in down:
+            members = set(filter(self._test(some), members))
+        return members
+
+    def _top_down(self, some: tuple, seed_size: int) -> bool:
+        """Whether testing `seed_size` members top-down against `some` is
+        estimated to visit fewer nodes than building its members."""
+        if some[2][0] == "set" and TOP_DOWN_COST * seed_size >= len(self.by_predicate.get(some[1], ())):
+            # building it touches at most the property's triples, and a
+            # test visits at least one node: no estimate needed
+            return False
+        work, _, probe = self._estimate(some)
+        return TOP_DOWN_COST * seed_size * probe < work
+
+    def _estimate(self, node: tuple) -> tuple[float, float, float]:
+        """From the store's statistics: the members that evaluating `node`
+        bottom-up touches, its members, and the nodes that testing one
+        individual top-down visits."""
+        kind = node[0]
+        if kind == "set":
+            return 0, len(node[1]), 1
+        if kind == "value" or kind == "range":
+            return len(node[-1]), len(node[-1]), 1
+        if kind == "some":
+            work, size, probe = self._estimate(node[2])
+            count, subjects, objects = self.store.stats(node[1])
+            objects = objects or 1
+            return (
+                work + min(size * (1 + count / objects), count),
+                min(subjects, size * subjects / objects),
+                1 + probe * count / (subjects or 1),
+            )
+        # an `and`, as `_members` plans it with the seed's estimated size;
+        # an estimate here is (is a `some`, work, size, probe)
+        estimates = [(c[0] == "some", *self._estimate(c)) for c in node[1]]
+        seeds = [e for e in estimates if not e[0]] or [min(estimates, key=itemgetter(1))]
+        seed_size = min(e[2] for e in seeds)
+        work = sum(
+            min(e[1], TOP_DOWN_COST * seed_size * e[3]) if e[0] and e is not seeds[0] else e[1]
+            for e in estimates
+        )
+        return work, min(e[2] for e in estimates), sum(e[3] for e in estimates)
+
+    def _test(self, node: tuple) -> Callable[[Term], bool]:
+        """Whether one individual is a member of `node`, evaluated top-down
+        through the subject lookups; `any` and `all` stop at the first
+        match or miss."""
+        kind, by_sp = node[0], self.by_sp
+        if kind == "set":
+            return node[1].__contains__
+        if kind == "and":
+            tests = [self._test(c) for c in node[1]]
+            return lambda x: all(test(x) for test in tests)
+        prop = node[1]
+        if kind == "value":
+            individual = node[2]
+            return lambda x: individual in map(_OBJECT, by_sp.get((x, prop), ()))
+        if kind == "some":
+            inner = self._test(node[2])
+            return lambda x: any(map(inner, map(_OBJECT, by_sp.get((x, prop), ()))))
+        compare, bound = _OPS[node[2]], node[3]
+        return lambda x: any(
+            compare(NUMBER[o[1]](o[2]), bound)
+            for _, _, o in by_sp.get((x, prop), ())
+            if isinstance(o, Literal) and o[1] in NUMBER
+        )
 
 
 def eval_dl_query(expr: ClassExpr, kb: KnowledgeBase) -> set[Term]:

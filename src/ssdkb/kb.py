@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
+from operator import itemgetter
 
 from . import vocab
 from .model import (
@@ -48,12 +49,20 @@ class SchemaError(Exception):
         self.subject = subject
 
 
+# a numeric literal's value, by its datatype (`Literal` is `(2, datatype, lexical)`)
+NUMBER = {"integer": int, "decimal": Decimal}
+
+
 class TripleIndex:
     """The triple store that every layer after the reader uses: the triples
     in `all` plus lookup tables over them. A store is not changed once
-    built; `extended` makes a new one."""
+    built; `extended` makes a new one. The query planners' tables, `stats`
+    and `numbers`, are built per predicate at their first call, so loading
+    a kb pays for neither."""
 
     def __init__(self, triples):
+        self._stats: dict[Iri | None, tuple[int, int, int]] = {}
+        self._numbers: dict[Iri, tuple[list, list[Term]]] = {}
         self.all = list(triples)
         self.by_p: dict[Iri, list[Triple]] = {}
         self.by_po: dict[tuple, list[Triple]] = {}
@@ -89,11 +98,13 @@ class TripleIndex:
         """Triples matching the given constants (None = wildcard). The list
         may be one of the store's own; callers must not change it."""
         if predicate is None:
-            return [
-                t
-                for t in self.all
-                if (subject is None or t.subject == subject) and (obj is None or t.object == obj)
-            ]
+            if subject is None and obj is None:
+                return self.all
+            # one lookup per predicate of the store, not a scan of it
+            if subject is None:
+                return [t for p in self.by_p for t in self.by_po.get((p, obj), ())]
+            found = [t for p in self.by_p for t in self.by_sp.get((subject, p), ())]
+            return found if obj is None else [t for t in found if t.object == obj]
         if subject is None:
             if obj is None:
                 return self.by_p.get(predicate, [])
@@ -108,6 +119,33 @@ class TripleIndex:
     def one(self, subject: Term, predicate: Iri) -> Term | None:
         found = self.by_sp.get((subject, predicate), ())
         return min((t.object for t in found), default=None)
+
+    def stats(self, predicate: Iri | None) -> tuple[int, int, int]:
+        """The number of triples, distinct subjects and distinct objects of
+        `predicate`, or of the whole store for None."""
+        found = self._stats.get(predicate)
+        if found is None:
+            triples = self.all if predicate is None else self.by_p.get(predicate, ())
+            found = (len(triples), len({t[0] for t in triples}), len({t[2] for t in triples}))
+            self._stats[predicate] = found
+        return found
+
+    def numbers(self, predicate: Iri) -> tuple[list, list[Term]]:
+        """The integer and decimal objects of `predicate` as numbers, in
+        ascending order, and their subjects in a parallel list. Other
+        objects are skipped."""
+        found = self._numbers.get(predicate)
+        if found is None:
+            pairs = sorted(
+                (
+                    (NUMBER[o[1]](o[2]), s)
+                    for s, _, o in self.by_p.get(predicate, ())
+                    if isinstance(o, Literal) and o[1] in NUMBER
+                ),
+                key=itemgetter(0),
+            )
+            found = self._numbers[predicate] = ([v for v, _ in pairs], [s for _, s in pairs])
+        return found
 
 
 def _joined(old: dict, new: dict, join) -> dict:

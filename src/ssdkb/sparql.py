@@ -3,10 +3,13 @@ patterns (with `;` lists and `a`), ORDER BY ASC|DESC(?v), LIMIT n, and
 `#` comments.
 
 Queries run over asserted plus inferred triples, with bag semantics. The
-patterns are joined greedily, smallest candidate set (for the first row
-so far) first. Rows are ordered by the ORDER BY key, numerically for
+patterns are joined in an order planned once per query (`join_order`)
+from the store's per-predicate statistics, which the store counts at the
+first query that needs them: connected patterns first, fewest estimated
+rows first. Rows are ordered by the ORDER BY key, numerically for
 numbers, with ties broken by the whole selected row ascending; DESC
-reverses only the key. Without ORDER BY, rows are sorted.
+reverses only the key. Without ORDER BY, rows are sorted, so the join
+order never shows in the output.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from . import scan
-from .kb import KnowledgeBase
+from .kb import KnowledgeBase, TripleIndex
 from .terms import (
     DEFAULT_PREFIXES,
     BlankNode,
@@ -126,7 +129,11 @@ class _SparqlParser(scan.Cursor):
         self.expect("name", "select")
         select_vars = []
         while self.at("var"):
-            select_vars.append(self.next()[1][1:])
+            tok = self.next()
+            if tok[1][1:] in select_vars:
+                # JSON keys a row by variable, so it could not hold both
+                raise self.error(f"select variable {tok[1]} repeated", tok[2])
+            select_vars.append(tok[1][1:])
         if not select_vars:
             raise self.error("SELECT needs at least one variable", self.peek()[2])
 
@@ -248,7 +255,6 @@ class _Step:
     bound so far at its place in `column`."""
 
     def __init__(self, pattern: TriplePattern, column: dict[str, int]):
-        self.pattern = pattern
         slots = (pattern.subject, pattern.predicate, pattern.object)
         # `get(row + terms)` gives `candidates` each constant from `terms`,
         # each bound variable from the row, and None for a new variable
@@ -267,35 +273,99 @@ class _Step:
                 first = self.new.setdefault(t.name, j)
                 if first != j:
                     self.repeats.append((first, j))
+        self.pick = _tuple_getter(list(self.new.values()))
 
 
-def eval_sparql(query: SparqlQuery, kb: KnowledgeBase) -> BindingTable:
-    index = kb.index()
-    column: dict[str, int] = {}  # variable -> its place in every row
+def _tuple_getter(places: list[int]):
+    """`itemgetter(*places)`, but one that gives a tuple for one place or none."""
+    if len(places) > 1:
+        return itemgetter(*places)
+    return itemgetter(slice(places[0], places[0] + 1) if places else slice(0))
+
+
+def join_order(patterns: Sequence[TriplePattern], index: TripleIndex) -> list[TriplePattern]:
+    """The order in which `eval_sparql` joins `patterns`, planned from the
+    store's statistics. A pattern's rows per input row are the triples that
+    match its constants, divided, for each variable bound by an earlier
+    pattern, by the distinct terms of the predicate at that place. From each
+    start, the order grows by the connected pattern with the fewest rows,
+    and by a disconnected one only when no connected one is left. The order
+    whose rows after each step sum lowest wins; the first on a tie."""
+    # per pattern: the triples that match its constants, and a divisor for
+    # each of its variables
+    estimates = []
+    for p in patterns:
+        slots = (p.subject, p.predicate, p.object)
+        constants = [None if isinstance(t, Var) else t for t in slots]
+        _, subjects, objects = index.stats(constants[1])
+        divisors = (subjects, len(index.by_p), objects)
+        estimates.append((
+            len(index.candidates(*constants)),
+            [(t.name, max(d, 1)) for t, d in zip(slots, divisors) if isinstance(t, Var)],
+        ))
+
+    def rows_per_row(i, bound):
+        matches, divisors = estimates[i]
+        for name, divisor in divisors:
+            if name in bound:
+                matches /= divisor
+        return matches
+
+    best, best_cost = list(range(len(patterns))), float("inf")
+    for start in range(len(patterns)):
+        order, rows, cost = [], 1.0, 0.0
+        bound: set[str] = set()
+        left = list(range(len(patterns)))
+        i = start
+        while True:
+            rows *= rows_per_row(i, bound)
+            cost += rows
+            if cost >= best_cost:
+                break
+            order.append(i)
+            left.remove(i)
+            bound.update(name for name, _ in estimates[i][1])
+            if not left:
+                best, best_cost = order, cost
+                break
+            connected = [j for j in left if any(name in bound for name, _ in estimates[j][1])]
+            i = min(connected or left, key=lambda j: rows_per_row(j, bound))
+    return [patterns[i] for i in best]
+
+
+def join(
+    patterns: Sequence[TriplePattern], index: TripleIndex
+) -> tuple[dict[str, int], list[tuple[Term, ...]]]:
+    """The rows that join `patterns` in the given order, and each variable's
+    place in a row. The join stops at the first step that leaves no rows."""
+    column: dict[str, int] = {}
     rows: list[tuple[Term, ...]] = [()]
-    remaining = list(query.patterns)
-    while remaining and rows:
-        step = min(
-            (_Step(p, column) for p in remaining),
-            key=lambda s: len(index.candidates(*s.get(rows[0] + s.terms))),
-        )
-        remaining.remove(step.pattern)
+    for pattern in patterns:
+        if not rows:
+            break
+        step = _Step(pattern, column)
         # `candidates` matched the constants and the bound variables, so a
         # row only takes the new variables' values
-        places, repeats = list(step.new.values()), step.repeats
+        get, terms, pick, repeats = step.get, step.terms, step.pick, step.repeats
         rows = [
-            row + tuple([t[j] for j in places])
+            row + pick(t)
             for row in rows
-            for t in index.candidates(*step.get(row + step.terms))
+            for t in index.candidates(*get(row + terms))
             if not repeats or all(t[i] == t[j] for i, j in repeats)
         ]
         for name in step.new:
             column[name] = len(column)
+    return column, rows
+
+
+def eval_sparql(query: SparqlQuery, kb: KnowledgeBase) -> BindingTable:
+    index = kb.index()
+    column, rows = join(join_order(query.patterns, index), index)
     if not rows:  # the patterns left unjoined gave their variables no column
         return BindingTable(header=query.select_vars)
 
     picked = [column[v] for v in query.select_vars]
-    selected = [tuple([row[c] for c in picked]) for row in rows]
+    selected = rows if picked == list(range(len(column))) else list(map(_tuple_getter(picked), rows))
     if query.order_by is None:
         selected.sort()
     else:

@@ -23,8 +23,9 @@ from ssdkb.dlquery import (
     parse_dl_query,
 )
 from ssdkb.generate import GenProfile, generate_studies
-from ssdkb.kb import TripleIndex, empty_kb
+from ssdkb.kb import TripleIndex, empty_kb, graph_to_kb
 from ssdkb.terms import RDF_TYPE, Literal, aut, local_name, ssd
+from ssdkb.turtle import parse_turtle
 
 
 def names(result):
@@ -213,6 +214,9 @@ def test_unknown_property_is_eval_error(fig3_mat):
         "hasCondition value adhd and Result and hasNoSuchProp some Result",
         "years some xsd:int[<0] and hasNoSuchProp value autism",
         "hasCondition value adhd and (Result and hasPhase some NoSuchClass)",
+        # the seed is empty, so no `some` conjunct after it is evaluated
+        "hasCondition value adhd and hasPhase some NoSuchClass",
+        "Result and hasCondition value adhd and hasPhase some (hasOutcome some (hasNoSuchProp value autism))",
     ],
 )
 def test_unknown_name_in_any_conjunct_is_eval_error(fig3_mat, text):
@@ -423,3 +427,59 @@ def test_some_lookup_and_scan_agree_with_reference(text, lookup):
 @example(And(And(NamedClass("Result"), DataSome("years", "<", 0)), Some("isResultOfPhase", NamedClass("Phase"))))
 def test_eval_matches_scan_only_reference(expr):
     assert eval_dl_query(expr, _CORPUS) == _REFERENCE(expr)
+
+
+_NUMBERS = graph_to_kb(
+    parse_turtle(
+        "@prefix ssd: <http://bdi.si.ehu.es/bdi/ontologies/SSDOnt/SSDOnt#> .\n"
+        "ssd:r1 ssd:hasValue 3 .\n"
+        "ssd:r2 ssd:hasValue 1.5 .\n"
+        "ssd:r3 ssd:hasValue 7 ; ssd:hasValue -2 .\n"
+        "ssd:r4 ssd:hasValue 3.0 .\n"
+        'ssd:r5 ssd:hasValue "5" .\n'
+    )
+)
+
+
+@pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "="])
+@pytest.mark.parametrize("bound", [-3, -2, 2, 3, 5, 7, 8])
+def test_facet_range_matches_reference(op, bound):
+    # bounds below the smallest value, equal to the smallest, between two,
+    # equal to an integer and a decimal, equal to a string's text only,
+    # equal to the largest, and above it
+    expr = DataSome("hasValue", op, bound)
+    found = eval_dl_query(expr, _NUMBERS)
+    assert found == reference_members(_NUMBERS)(expr)
+    assert ssd("r5") not in found
+
+
+def test_facet_range_examples():
+    def members(op, bound):
+        return names(eval_dl_query(DataSome("hasValue", op, bound), _NUMBERS))
+
+    assert members("<", -2) == set()
+    assert members("<=", -2) == {"r3"}
+    assert members("=", 3) == {"r1", "r4"}
+    assert members(">", 2) == {"r1", "r3", "r4"}
+    assert members(">=", 8) == set()
+
+
+@pytest.mark.parametrize(
+    "name, paths",
+    [
+        ("cq_across_outcome", []),
+        ("cq_age_range", [("hasParticipant", "bottom-up"), ("hasAge", "bottom-up")]),
+        ("cq_by_condition", [("hasParticipant", "bottom-up")]),
+        ("cq_by_intervention", [("hasPhase", "top-down")]),
+        ("dl_across_setting_complex", [("hasParticipant", "top-down"), ("hasMBDItem", "bottom-up")]),
+        ("dl_results_of_phase", [("isResultOfPhase", "bottom-up")]),
+    ],
+)
+def test_path_of_each_some_conjunct(name, paths):
+    """Which way each `some` conjunct of an `and` goes on the 200-study
+    corpus; a conjunct inside a filter that runs top-down takes no path."""
+    expr = parse_dl_query((QUERIES / f"{name}.dl").read_text())
+    evaluator = DlEvaluator(_CORPUS)
+    found = evaluator.eval(expr)
+    assert [(some.prop, path) for some, path in evaluator.paths] == paths
+    assert found == _REFERENCE(expr) != set()

@@ -19,7 +19,7 @@ from ssdkb.kb import (
 )
 from ssdkb.model import PhaseKind, age_in_months
 from ssdkb.taxonomy import core_taxonomy
-from ssdkb.terms import RDF_TYPE, BlankNode, Iri, aut, local_name, ssd
+from ssdkb.terms import RDF_TYPE, BlankNode, Iri, Literal, aut, local_name, ssd
 from ssdkb.turtle import Triple, parse_turtle
 
 
@@ -135,6 +135,47 @@ def test_materialize_extends_the_store_and_leaves_the_parent():
     assert _tables(mat.index()) == _tables(TripleIndex(union))
     assert mat.index() is mat.index()
     assert _tables(materialize_types(mat).index()) == _tables(mat.index())
+
+
+_NUMBERS_TTL = """@prefix ex: <http://e.org/#> .
+ex:a ex:n 3 ; ex:n 1.5 ; ex:n "7" ; ex:m ex:b .
+ex:b ex:n -2 ; ex:n 3.0 .
+ex:c ex:n ex:a .
+"""
+
+
+def test_statistics_are_built_per_predicate_at_first_use():
+    ex = lambda name: Iri("http://e.org/#" + name)
+    store = graph_to_kb(parse_turtle(_NUMBERS_TTL)).index()
+    assert store._stats == {} and store._numbers == {}
+    assert store.stats(ex("n")) == (6, 3, 6)
+    assert store.stats(ex("nope")) == (0, 0, 0)
+    assert store.stats(None) == (7, 3, 7)
+    assert set(store._stats) == {ex("n"), ex("nope"), None}
+    # strings and IRIs are skipped; equal values keep both subjects
+    values, subjects = store.numbers(ex("n"))
+    assert values == [-2, Decimal("1.5"), 3, Decimal("3.0")]
+    assert subjects[:2] == [ex("b"), ex("a")] and set(subjects[2:]) == {ex("a"), ex("b")}
+    assert store.numbers(ex("m")) == ([], [])
+    assert store.numbers(ex("n")) is store.numbers(ex("n"))
+    # a store that extends this one counts its own triples afresh
+    more = store.extended({Triple(ex("c"), ex("n"), Literal("0", "integer"))})
+    assert more._stats == {} and more._numbers == {}
+    assert more.stats(ex("n")) == (7, 3, 7)
+    assert more.numbers(ex("n"))[0][:2] == [-2, 0]
+
+
+def test_candidates_with_a_variable_predicate_match_a_scan():
+    kb = materialize_types(generate_studies(10, GenProfile(seed=2)))
+    store = kb.index()
+    nodes = sorted({t.subject for t in store.all} | {t.object for t in store.all})[::7]
+    for node in nodes + [None]:
+        for subject, obj in ((node, None), (None, node), (node, node)):
+            expected = [
+                t for t in store.all
+                if (subject is None or t.subject == subject) and (obj is None or t.object == obj)
+            ]
+            assert Counter(store.candidates(subject, None, obj)) == Counter(expected)
 
 
 def test_fig3_stats(fig3_kb):

@@ -13,6 +13,8 @@ from ssdkb.sparql import (
     TriplePattern,
     Var,
     eval_sparql,
+    join,
+    join_order,
     parse_sparql,
 )
 from ssdkb.classify import materialize_types
@@ -106,6 +108,7 @@ _Q = "SELECT ?x WHERE { ?x <http://e.org/p> ?y }"
             0,
         ),
         (_Q + " order by ASC(?z)", "order variable ?z not bound in patterns", 0),
+        ("SELECT ?x ?y ?x WHERE { ?x <http://e.org/p> ?y }", "select variable ?x repeated", 13),
         # keywords and punctuation
         ("WHERE { ?x <http://e.org/p> ?y }", "expected 'select', found 'WHERE'", 0),
         ("SELECT WHERE { ?x <http://e.org/p> ?y }", "SELECT needs at least one variable", 7),
@@ -346,8 +349,9 @@ def connected_bgps(draw):
     constant or a variable, which sometimes reuses an earlier name, but at
     most one pattern has no constant subject or object, so that no query
     takes the product of two whole predicates. A pattern sometimes repeats
-    its subject variable as its object, and at most one predicate, in a
-    pattern with a constant low-degree subject, is a variable."""
+    its subject variable as its object, and at most one predicate is a
+    variable: in a pattern whose subject is a constant of low degree or a
+    variable that an earlier pattern binds."""
     walk = [draw(st.sampled_from(_TRIPLES))]
     links = set()
     for _ in range(draw(st.integers(0, 3))):
@@ -378,17 +382,20 @@ def connected_bgps(draw):
                 else:
                     mapped[node] = Var(f"v{len(mapped)}")
         subject, predicate, obj = mapped[t.subject], t.predicate, mapped[t.object]
+        bound = {x.name for p in patterns for x in (p.subject, p.object) if isinstance(x, Var)}
         if isinstance(subject, Var) and isinstance(obj, Var):
             bare += 1
         elif isinstance(subject, Var) and draw(st.integers(0, 7)) == 0:
             obj = subject
-        elif (
-            not isinstance(subject, Var)
-            and len(_TOUCHING[subject]) <= _MAX_LINK_DEGREE
-            and not any(isinstance(p.predicate, Var) for p in patterns)
+        if (
+            not any(isinstance(p.predicate, Var) for p in patterns)
+            and (
+                subject.name in bound
+                if isinstance(subject, Var)
+                else len(_TOUCHING[subject]) <= _MAX_LINK_DEGREE
+            )
             and draw(st.integers(0, 2)) == 0
         ):
-            # `candidates` scans the whole store for a variable predicate
             predicate = Var("p")
         patterns.append(TriplePattern(subject, predicate, obj))
 
@@ -401,6 +408,34 @@ def connected_bgps(draw):
     order_by = draw(st.none() | st.tuples(st.sampled_from(names), st.sampled_from(["ASC", "DESC"])))
     limit = draw(st.none() | st.integers(1, 5))
     return SparqlQuery(tuple(select_vars), tuple(patterns), order_by, limit)
+
+
+def _rows_after_each_step(order):
+    return [len(join(order[: i + 1], _SMALL.index())[1]) for i in range(len(order))]
+
+
+@pytest.mark.parametrize(
+    "name, order, rows",
+    [
+        # the query's own order
+        ("cq_type_of_study", [0, 1], [200, 578]),
+        # the outcome first, then each pattern that shares a variable
+        ("sparql_best_result", [1, 0, 2, 3, 4, 5, 6, 7], [30, 2, 4, 2, 2, 2, 12, 12]),
+    ],
+)
+def test_join_order_and_rows_after_each_step(name, order, rows):
+    query = parse_sparql((QUERIES / f"{name}.rq").read_text())
+    planned = join_order(query.patterns, _SMALL.index())
+    assert planned == [query.patterns[i] for i in order]
+    assert _rows_after_each_step(planned) == rows
+    assert eval_sparql(query, _SMALL).rows == reference_eval_sparql(query, _SMALL).rows
+
+
+def test_best_result_joins_no_cross_product():
+    query = parse_sparql(BEST_RESULT)
+    (outcome,) = [p for p in query.patterns if p.predicate == ssd("hasOutcome")]
+    alone = len(_SMALL.index().candidates(None, outcome.predicate, outcome.object))
+    assert max(_rows_after_each_step(join_order(query.patterns, _SMALL.index()))) <= alone
 
 
 @settings(max_examples=100, deadline=None)
@@ -462,3 +497,22 @@ def test_join_and_order_cases(where, expected):
     rows = eval_sparql(query, _EX_KB).rows
     assert rows == reference_eval_sparql(query, _EX_KB).rows
     assert [tuple(local_name(t) if isinstance(t, Iri) else t.lexical for t in row) for row in rows] == expected
+
+
+def test_join_order_takes_a_disconnected_pattern_only_when_no_connected_one_is_left():
+    # ?z's two rows per row are fewer than ?x's three ex:b objects, but
+    # ?z shares no variable with the rest, so it comes last
+    lines = [
+        f"ex:x{i} ex:a ex:k ; ex:d ex:v{i} ; ex:b ex:y{i}a ; ex:b ex:y{i}b ; ex:b ex:y{i}c ."
+        for i in range(10)
+    ]
+    lines += ["ex:z0 ex:c ex:k .", "ex:z1 ex:c ex:k ."]
+    kb = graph_to_kb(parse_turtle(f"@prefix ex: <{_EX}> .\n" + "\n".join(lines)))
+    query = parse_sparql(
+        f"PREFIX ex: <{_EX}> SELECT ?x ?y ?z "
+        "WHERE { ?x ex:a ex:k . ?x ex:b ?y . ?z ex:c ex:k . ?x ex:d ex:v0 }"
+    )
+    order = join_order(query.patterns, kb.index())
+    assert order == [query.patterns[i] for i in (3, 0, 1, 2)]
+    assert [len(join(order[: i + 1], kb.index())[1]) for i in range(4)] == [1, 1, 3, 6]
+    assert eval_sparql(query, kb).rows == reference_eval_sparql(query, kb).rows
