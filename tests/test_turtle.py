@@ -1,3 +1,7 @@
+import itertools
+import re
+from operator import itemgetter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,7 +10,7 @@ from conftest import FIXTURES
 from ssdkb.generate import GenProfile, generate_graph
 from ssdkb.isomorphism import isomorphic
 from ssdkb.kb import graph_to_kb
-from ssdkb.terms import BlankNode, Iri, Literal, RDF_TYPE, SSD_NS, ssd, unescape
+from ssdkb.terms import BlankNode, Iri, Literal, RDF_TYPE, SSD_NS, Term, ssd, unescape
 from ssdkb.turtle import Triple, TripleGraph, TurtleSyntaxError, parse_turtle, serialize_turtle
 
 PAUL_BLOCK = """
@@ -88,10 +92,90 @@ def test_duplicate_statements_collapse():
     assert len(graph) == 1
 
 
-@pytest.mark.parametrize("name", ["fig3.ttl", "mbd_setting.ttl", "ab_study.ttl", "cookbook.ttl"])
+# --- reference serializer ---
+# The canonical form computed the plain way: one sort of every triple, a
+# separate pass that numbers the blank nodes, then rendering. The serializer
+# must match it byte for byte. It shares no helper with `ssdkb.turtle`.
+
+
+def _reference_prefix_map(prefix_table: dict[str, str]) -> dict[str, str]:
+    out: dict[str, str] = {}
+    for label in sorted(prefix_table):
+        ns = prefix_table[label]
+        if ns not in out:
+            out[ns] = label
+    return out
+
+
+_REFERENCE_LOCAL_RX = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*$")
+
+
+def _reference_render(term: Term, ns_to_label: dict[str, str], bnode_map: dict[str, str]) -> str:
+    if isinstance(term, Iri):
+        for ns, label in ns_to_label.items():
+            if term.value.startswith(ns):
+                local = term.value[len(ns):]
+                if _REFERENCE_LOCAL_RX.fullmatch(local):
+                    return f"{label}:{local}"
+        return f"<{term.value}>"
+    if isinstance(term, BlankNode):
+        return f"_:{bnode_map[term.label]}"
+    return str(term)
+
+
+def reference_serialize(graph: TripleGraph) -> str:
+    ns_to_label = _reference_prefix_map(graph.prefix_table)
+
+    # rdf:type first within a subject block
+    ordered = sorted(graph.triples, key=lambda t: (t.subject, t.predicate != RDF_TYPE, t))
+    bnode_map: dict[str, str] = {}
+    for t in ordered:
+        for term in (t.subject, t.object):
+            if isinstance(term, BlankNode) and term.label not in bnode_map:
+                bnode_map[term.label] = f"b{len(bnode_map) + 1}"
+
+    lines = [
+        f"@prefix {label}: <{graph.prefix_table[label]}> ."
+        for label in sorted(graph.prefix_table)
+    ]
+
+    # each distinct term is rendered once per call
+    rendered: dict[Term, str] = {}
+
+    def render(term: Term) -> str:
+        text = rendered.get(term)
+        if text is None:
+            text = rendered[term] = _reference_render(term, ns_to_label, bnode_map)
+        return text
+
+    blocks = []
+    for subject, group in itertools.groupby(ordered, key=itemgetter(0)):
+        parts = [
+            f"{'a' if t.predicate == RDF_TYPE else render(t.predicate)} {render(t.object)}"
+            for t in group
+        ]
+        blocks.append(f"{render(subject)} " + " ;\n    ".join(parts) + " .")
+
+    text = "\n".join(lines)
+    if blocks:
+        text += "\n\n" + "\n\n".join(blocks)
+    return text + "\n"
+
+
+def assert_same_text(text: str, expected: str) -> None:
+    """Byte equality, reported at the first line that differs: pytest's own
+    diff of two corpus-sized texts would run for minutes."""
+    if text != expected:
+        pairs = itertools.zip_longest(text.split("\n"), expected.split("\n"))
+        line, (got, want) = next((i, p) for i, p in enumerate(pairs, 1) if p[0] != p[1])
+        pytest.fail(f"line {line}: {got!r} != {want!r}")
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in FIXTURES.glob("*.ttl")))
 def test_fixture_round_trip(name):
     graph = parse_turtle((FIXTURES / name).read_text())
     text = serialize_turtle(graph)
+    assert_same_text(text, reference_serialize(graph))
     again = parse_turtle(text)
     assert isomorphic(graph, again)
     # canonical output is a fixpoint
@@ -106,6 +190,11 @@ def test_round_trip_at_corpus_scale():
     assert len(parsed) == len(generated)
     assert isomorphic(parsed, generated)
     assert graph_to_kb(parsed).studies == graph_to_kb(generated).studies
+
+
+def test_serializer_matches_reference_on_generated_corpus():
+    graph = generate_graph(200, GenProfile(seed=3))
+    assert_same_text(serialize_turtle(graph), reference_serialize(graph))
 
 
 def test_serializer_canonical_shape():
@@ -130,15 +219,28 @@ def test_unescape_inverts_literal_quoting(text):
 
 
 _local = st.from_regex(r"[a-z][a-z0-9]{0,6}", fullmatch=True)
-_term = st.one_of(
+# A few fixed names recur, so that subjects get several triples, several
+# rdf:type objects, and blank nodes used more than once.
+_iri = st.one_of(
+    st.sampled_from([ssd("s1"), ssd("s2"), ssd("C1"), ssd("C2")]),
     _local.map(lambda s: Iri(SSD_NS + s)),
-    _local.map(BlankNode),
+    # outside every prefix, and in a prefix but not a valid local name
+    _local.map(lambda s: Iri("http://other.example/" + s)),
+    _local.map(lambda s: Iri(SSD_NS + "1" + s)),
+)
+_bnode = st.one_of(st.sampled_from([BlankNode("n1"), BlankNode("n2")]), _local.map(BlankNode))
+_term = st.one_of(
+    _iri,
+    _bnode,
+    st.just(RDF_TYPE),
     st.integers(-999, 999).map(lambda i: Literal(str(i), "integer")),
+    st.builds(lambda i, f: Literal(f"{i}.{f}", "decimal"), st.integers(-99, 99), st.integers(0, 99)),
+    st.text('ab"\\\n', max_size=6).map(lambda s: Literal(s, "string")),
 )
 _triples = st.sets(
     st.tuples(
-        st.one_of(_local.map(lambda s: Iri(SSD_NS + s)), _local.map(BlankNode)),
-        _local.map(lambda s: Iri(SSD_NS + s)),
+        st.one_of(_iri, _bnode),
+        st.one_of(st.just(RDF_TYPE), _iri),
         _term,
     ).map(lambda t: Triple(*t)),
     max_size=25,
@@ -148,7 +250,9 @@ _triples = st.sets(
 @given(_triples)
 def test_round_trip_random_graphs(triples):
     graph = TripleGraph(triples=set(triples))
-    again = parse_turtle(serialize_turtle(graph))
+    text = serialize_turtle(graph)
+    assert_same_text(text, reference_serialize(graph))
+    again = parse_turtle(text)
     assert isomorphic(graph, again)
 
 
