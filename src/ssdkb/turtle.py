@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -219,7 +220,7 @@ def _prefix_map(prefix_table: dict[str, str]) -> dict[str, str]:
 _LOCAL_RX = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*$")
 
 
-def _render(term: Term, ns_to_label: dict[str, str], bnode_map: dict[str, str]) -> str:
+def _render(term: Iri | Literal, ns_to_label: dict[str, str]) -> str:
     if isinstance(term, Iri):
         for ns, label in ns_to_label.items():
             if term.value.startswith(ns):
@@ -227,47 +228,62 @@ def _render(term: Term, ns_to_label: dict[str, str], bnode_map: dict[str, str]) 
                 if _LOCAL_RX.fullmatch(local):
                     return f"{label}:{local}"
         return f"<{term.value}>"
-    if isinstance(term, BlankNode):
-        return f"_:{bnode_map[term.label]}"
     return str(term)
+
+
+def _block_order(t: Triple) -> tuple:
+    """Sort key within one subject's block: rdf:type first, then by
+    predicate and object."""
+    return t[1] != RDF_TYPE, t
 
 
 @gc_paused()
 def serialize_turtle(graph: TripleGraph) -> str:
-    """Canonical text form: prefixes sorted by label, subjects sorted,
-    predicates grouped with ';', blank nodes renumbered _:b1.. in first-use
-    order. Re-parses to an isomorphic graph."""
+    """Canonical text form, which re-parses to an isomorphic graph:
+
+    - `@prefix` lines sorted by label; an IRI is written with the smallest
+      label whose namespace it starts with, if the rest is a plain local
+      name, and in angle brackets otherwise;
+    - one block per subject, subjects in term order (IRIs before blank
+      nodes, each kind by its text);
+    - within a block, `;`-separated: the rdf:type triples first, written
+      `a`, then by predicate and then by object in term order;
+    - blank nodes renumbered `_:b1`, `_:b2`, ... in the order the text
+      first uses them."""
     ns_to_label = _prefix_map(graph.prefix_table)
-
-    # rdf:type first within a subject block
-    ordered = sorted(graph.triples, key=lambda t: (t.subject, t.predicate != RDF_TYPE, t))
-    bnode_map: dict[str, str] = {}
-    for t in ordered:
-        for term in (t.subject, t.object):
-            if isinstance(term, BlankNode) and term.label not in bnode_map:
-                bnode_map[term.label] = f"b{len(bnode_map) + 1}"
-
     lines = [
         f"@prefix {label}: <{graph.prefix_table[label]}> ."
         for label in sorted(graph.prefix_table)
     ]
 
-    # each distinct term is rendered once per call
+    # Sorting the subjects and then each short block costs far less than
+    # one sort of every triple on nested keys, and gives the same order.
+    by_subject: defaultdict[Term, list[Triple]] = defaultdict(list)
+    for t in graph.triples:
+        by_subject[t[0]].append(t)
+
+    # Each distinct term is rendered once per call. Rendering meets terms
+    # in the order of the text, so a blank node takes the next number there.
     rendered: dict[Term, str] = {}
+    bnode_numbers = itertools.count(1)
 
     def render(term: Term) -> str:
         text = rendered.get(term)
         if text is None:
-            text = rendered[term] = _render(term, ns_to_label, bnode_map)
+            if isinstance(term, BlankNode):
+                text = f"_:b{next(bnode_numbers)}"
+            else:
+                text = _render(term, ns_to_label)
+            rendered[term] = text
         return text
 
     blocks = []
-    for subject, group in itertools.groupby(ordered, key=itemgetter(0)):
-        parts = [
-            f"{'a' if t.predicate == RDF_TYPE else render(t.predicate)} {render(t.object)}"
-            for t in group
-        ]
-        blocks.append(f"{render(subject)} " + " ;\n    ".join(parts) + " .")
+    for subject in sorted(by_subject):
+        block = by_subject[subject]
+        block.sort(key=_block_order)
+        head = render(subject)
+        parts = [f"{'a' if p == RDF_TYPE else render(p)} {render(o)}" for _, p, o in block]
+        blocks.append(f"{head} " + " ;\n    ".join(parts) + " .")
 
     text = "\n".join(lines)
     if blocks:
