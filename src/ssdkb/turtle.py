@@ -281,7 +281,7 @@ def serialize_turtle(graph: TripleGraph) -> str:
     for subject in sorted(by_subject):
         block = by_subject[subject]
         block.sort(key=_block_order)
-        head = render(subject)
+        head = render(subject)  # before its objects, as the text reads
         parts = [f"{'a' if p == RDF_TYPE else render(p)} {render(o)}" for _, p, o in block]
         blocks.append(f"{head} " + " ;\n    ".join(parts) + " .")
 
