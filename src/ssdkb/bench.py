@@ -1,164 +1,103 @@
-"""Benchmark harness: generate a kb, time load + materialization + query
-evaluation, and emit a human-readable report plus a machine-readable
-key-value copy.
+"""`ssdkb bench`: time each layer of the load path and each query file on
+generated corpora of the given sizes, and report it as one JSON document.
+
+The layer names are those of BENCHMARK.json. `classify.materialize_s`
+includes the validation pass that `materialize_types` runs itself.
+`gc.collect_s` is one full collection after the load: without it, the
+first older-generation scan of the fresh kb's containers is charged to
+whichever query happens to trigger it. `peak_rss_mb` is the process's
+high-water mark so far, so the sizes run in ascending order.
 """
 
 from __future__ import annotations
 
-import os
+import gc
 import platform
+import resource
 import statistics
 import time
-from dataclasses import dataclass, field
+from functools import partial
+from pathlib import Path
 
 from .classify import materialize_types
 from .dlquery import eval_dl_query, parse_dl_query
 from .generate import GenProfile, generate_graph
-from .kb import KbStats, graph_to_kb, kb_stats
+from .kb import graph_to_kb, kb_stats, validate_kb
 from .sparql import eval_sparql, parse_sparql
 from .turtle import parse_turtle, serialize_turtle
 
-# the published example queries, which `run_bench` times unless it is
-# given queries of its own
-DEFAULT_DL_QUERIES = {
-    "dl_results_of_phase": "Result and isResultOfPhase some {study00000_ph1}",
-    "dl_across_setting": (
-        "AcrossSettingMBD and hasParticipant some (Participant and hasAge some "
-        "(years some xsd:int[<10])) and hasMBDItem some (AcrossSettingMBDItem "
-        "and hasSetting value school)"
-    ),
-}
-
-DEFAULT_SPARQL_QUERIES = {
-    "sparql_best_result": """
-PREFIX ssid: <http://bdi.si.ehu.es/bdi/ontologies/SSDOnt/SSDOnt#>
-PREFIX aut: <http://bdi.si.ehu.es/bdi/ontologies/SSDOnt/SSDOntAutism#>
-SELECT ?study ?interType ?val
-WHERE {
-  ?study a ssid:AB_Design ; ssid:hasOutcome aut:correct_answers_wh ; ssid:hasPhase ?ph .
-  ?ph a ssid:SimpleInterventionPhase ; ssid:hasInterventionType ?interType .
-  ?interType a aut:Peer-mediatedIntervention .
-  ?res ssid:isResultOfPhase ?ph ; ssid:hasValue ?val
-} order by DESC(?val) LIMIT 1
-""",
+LAYERS = (
+    "generate.graph_s", "turtle.serialize_s", "turtle.parse_s", "kb.lift_s",
+    "model.validate_s", "classify.materialize_s", "kb.stats_s", "gc.collect_s",
+)
+WARM_RUNS = 5
+# a query file's suffix picks its parser and evaluator; each evaluator
+# returns the answer's rows
+ENGINES = {
+    ".dl": (parse_dl_query, eval_dl_query),
+    ".rq": (parse_sparql, lambda query, kb: eval_sparql(query, kb).rows),
 }
 
 
-@dataclass
-class QueryTiming:
-    name: str
-    kind: str  # "dl" | "sparql"
-    cold_ms: float
-    warm_median_ms: float
-    result_size: int
+def load_queries(paths: list[str]) -> dict:
+    """`query.<stem>` to a function of the kb that answers that file's
+    query. Every file is parsed here, so that a syntax error ends the run
+    before any corpus is built."""
+    queries = {}
+    for path in map(Path, paths):
+        parse, evaluate = ENGINES[path.suffix]
+        queries[f"query.{path.stem}"] = partial(evaluate, parse(path.read_text(encoding="utf-8")))
+    return queries
 
 
-@dataclass
-class BenchReport:
-    study_count: int
-    load_ms: float
-    materialize_ms: float
-    stats: KbStats
-    queries: list[QueryTiming] = field(default_factory=list)
-    machine_note: str = field(default_factory=lambda: platform.platform())
-
-    def to_text(self) -> str:
-        lines = [
-            f"machine: {self.machine_note}",
-            f"studies: {self.study_count}",
-            f"triples: {self.stats.triple_count}",
-            f"individuals: {self.stats.individual_count}",
-            f"load_ms: {self.load_ms:.1f}",
-            f"materialize_ms: {self.materialize_ms:.1f}",
-        ]
-        for q in self.queries:
-            lines.append(
-                f"query {q.name} [{q.kind}]: cold {q.cold_ms:.1f} ms, "
-                f"warm median {q.warm_median_ms:.1f} ms, {q.result_size} result(s)"
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_kv(self) -> str:
-        lines = [
-            f"machine={self.machine_note}",
-            f"studies={self.study_count}",
-            f"triples={self.stats.triple_count}",
-            f"individuals={self.stats.individual_count}",
-            f"load_ms={self.load_ms:.3f}",
-            f"materialize_ms={self.materialize_ms:.3f}",
-        ]
-        for q in self.queries:
-            lines.append(f"query.{q.name}.kind={q.kind}")
-            lines.append(f"query.{q.name}.cold_ms={q.cold_ms:.3f}")
-            lines.append(f"query.{q.name}.warm_median_ms={q.warm_median_ms:.3f}")
-            lines.append(f"query.{q.name}.results={q.result_size}")
-        return "\n".join(lines) + "\n"
-
-
-def _time_query(run) -> tuple[float, float, int]:
-    """The cold time, the median of five warm times, and the result size."""
+def _timed(out: dict, layer: str, fn, *args):
     start = time.perf_counter()
-    result = run()
-    cold = (time.perf_counter() - start) * 1000.0
-    warm = []
-    for _ in range(5):
-        start = time.perf_counter()
-        result = run()
-        warm.append((time.perf_counter() - start) * 1000.0)
-    size = len(result.rows) if hasattr(result, "rows") else len(result)
-    return cold, statistics.median(warm), size
+    result = fn(*args)
+    out[layer] = round(time.perf_counter() - start, 6)
+    return result
 
 
-def load_query_dir(path: str) -> tuple[dict[str, str], dict[str, str]]:
-    """*.dl files are DL queries, *.rq files are SPARQL queries."""
-    dl: dict[str, str] = {}
-    sparql: dict[str, str] = {}
-    for name in sorted(os.listdir(path)):
-        full = os.path.join(path, name)
-        if name.endswith(".dl"):
-            with open(full, encoding="utf-8") as handle:
-                dl[name[:-3]] = handle.read()
-        elif name.endswith(".rq"):
-            with open(full, encoding="utf-8") as handle:
-                sparql[name[:-3]] = handle.read()
-    return dl, sparql
-
-
-def run_bench(
-    n: int,
-    profile: GenProfile | None = None,
-    dl_queries: dict[str, str] | None = None,
-    sparql_queries: dict[str, str] | None = None,
-) -> BenchReport:
-    if n < 1:
-        raise ValueError("bench needs at least one study")
-    dl_queries = DEFAULT_DL_QUERIES if dl_queries is None else dl_queries
-    sparql_queries = DEFAULT_SPARQL_QUERIES if sparql_queries is None else sparql_queries
-
-    text = serialize_turtle(generate_graph(n, profile))
-
+def _ms(run, kb) -> tuple[float, list]:
     start = time.perf_counter()
-    graph = parse_turtle(text)
-    kb = graph_to_kb(graph)
-    load_ms = (time.perf_counter() - start) * 1000.0
+    rows = run(kb)
+    return round((time.perf_counter() - start) * 1000.0, 3), rows
 
-    start = time.perf_counter()
-    kb = materialize_types(kb)
-    materialize_ms = (time.perf_counter() - start) * 1000.0
 
-    report = BenchReport(
-        study_count=n,
-        load_ms=load_ms,
-        materialize_ms=materialize_ms,
-        stats=kb_stats(kb),
-    )
+def bench_size(n: int, profile: GenProfile, queries: dict) -> dict:
+    """Every layer's seconds, every query's timings and the peak RSS, on
+    one corpus of `n` studies."""
+    out: dict = {}
+    graph = _timed(out, "generate.graph_s", generate_graph, n, profile)
+    text = _timed(out, "turtle.serialize_s", serialize_turtle, graph)
+    # the generated graph and the text go as soon as they are read, so
+    # that peak_rss_mb counts what a command that loads a corpus holds
+    del graph
+    kb = _timed(out, "kb.lift_s", graph_to_kb, _timed(out, "turtle.parse_s", parse_turtle, text))
+    del text
+    _timed(out, "model.validate_s", validate_kb, kb)
+    kb = _timed(out, "classify.materialize_s", materialize_types, kb)
+    _timed(out, "kb.stats_s", kb_stats, kb)
+    _timed(out, "gc.collect_s", gc.collect)
+    for name, run in queries.items():
+        cold, rows = _ms(run, kb)
+        warm = statistics.median(_ms(run, kb)[0] for _ in range(WARM_RUNS))
+        out[name] = {"cold_ms": cold, "warm_ms": warm, "rows": len(rows)}
+    out["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    return out
 
-    for name, text in sorted(dl_queries.items()):
-        expr = parse_dl_query(text)
-        cold, warm, size = _time_query(lambda: eval_dl_query(expr, kb))
-        report.queries.append(QueryTiming(name, "dl", cold, warm, size))
-    for name, text in sorted(sparql_queries.items()):
-        query = parse_sparql(text)
-        cold, warm, size = _time_query(lambda: eval_sparql(query, kb))
-        report.queries.append(QueryTiming(name, "sparql", cold, warm, size))
+
+def run_bench(sizes: list[int], profile: GenProfile, queries: dict) -> dict:
+    """The report: `bench_size` for each size, smallest first."""
+    sizes = sorted(set(sizes))
+    report = {
+        "schema": 1,
+        "python": platform.python_version(),
+        "machine": platform.platform(),
+        "seed": profile.seed,
+        "sizes": sizes,
+        "runs": {str(n): bench_size(n, profile, queries) for n in sizes},
+    }
+    if len(sizes) > 1:
+        first, last = report["runs"][str(sizes[0])], report["runs"][str(sizes[-1])]
+        report["growth"] = {layer: round(last[layer] / first[layer], 2) for layer in LAYERS}
     return report

@@ -188,7 +188,7 @@ def materialize_types(kb: KnowledgeBase) -> KnowledgeBase:
     taxonomy = kb.taxonomy
     inferred: set[Triple] = set()
 
-    for cls, members in kb.index().type_index.items():
+    for cls, members in kb.store.type_index.items():
         if taxonomy.contains(cls):
             for sup in taxonomy.superclasses(cls):
                 inferred.update(Triple(node, RDF_TYPE, sup) for node in members)

@@ -2,6 +2,11 @@
 
 Subcommands: validate, classify, query, gen, bench, stats.
 Exit codes: 0 success, 1 validation violations, 2 parse/usage errors.
+
+`ssdkb bench [-n N]... [--profile P] [QUERY_FILE ...]` prints one JSON
+document: per corpus size, the time of each load layer, of one full
+collection, and of each `.dl`/`.rq` query file cold and warm, and the
+process's peak RSS; see `ssdkb.bench`.
 """
 
 from __future__ import annotations
@@ -11,8 +16,9 @@ import json
 import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
-from .bench import load_query_dir, run_bench
+from .bench import ENGINES, load_queries, run_bench
 from .classify import ClassificationError, classify_study, materialize_types
 from .dlquery import DlEvalError, DlSyntaxError, eval_dl_query, parse_dl_query
 from .generate import GenProfile, ProfileError, generate_graph
@@ -99,14 +105,22 @@ def _cmd_gen(args) -> int:
 
 def _cmd_bench(args) -> int:
     profile = GenProfile.from_file(args.profile) if args.profile else GenProfile()
-    # the files of --queries replace the default queries
-    dl, sparql = load_query_dir(args.queries) if args.queries else (None, None)
-    report = run_bench(args.count, profile, dl, sparql)
-    print(report.to_text(), end="")
-    with open(args.report, "w", encoding="utf-8") as handle:
-        handle.write(report.to_kv())
-    print(f"machine-readable report written to {args.report}", file=sys.stderr)
+    queries = load_queries(args.query_files)
+    print(json.dumps(run_bench(args.count or [1000], profile, queries), indent=2))
     return 0
+
+
+def _study_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 study, got {count}")
+    return count
+
+
+def _query_file(path: str) -> str:
+    if Path(path).suffix not in ENGINES:
+        raise argparse.ArgumentTypeError(f"{path}: a query file ends in .dl or .rq")
+    return path
 
 
 def _cmd_stats(args) -> int:
@@ -153,13 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("bench", help="run the scalability benchmark")
-    p.add_argument("-n", "--count", type=int, default=1000)
+    p = sub.add_parser("bench", help="time each layer and query file; print JSON")
     p.add_argument(
-        "--queries", help="directory of *.dl and *.rq query files to time instead of the defaults"
+        "-n", "--count", type=_study_count, action="append", help="corpus size (repeatable)"
     )
     p.add_argument("--profile")
-    p.add_argument("--report", default="bench_report.kv")
+    p.add_argument("query_files", nargs="*", type=_query_file, metavar="QUERY_FILE")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("stats", help="print kb size statistics")

@@ -196,7 +196,7 @@ TOP_DOWN_COST = 2.0
 
 
 class DlEvaluator:
-    """Evaluates class expressions against a kb's triple store (`kb.index()`),
+    """Evaluates class expressions against a kb's triple store (`kb.store`),
     asserted plus any inferred triples. `eval` reads the store's tables and
     may return one of the store's own sets; `eval_dl_query` copies it.
     `paths` records each `some` conjunct of an `and` that was evaluated,
@@ -204,7 +204,7 @@ class DlEvaluator:
 
     def __init__(self, kb: KnowledgeBase):
         self.kb = kb
-        self.store = index = kb.index()
+        self.store = index = kb.store
         self.by_predicate = index.by_p
         self.by_po = index.by_po
         self.by_sp = index.by_sp

@@ -161,7 +161,7 @@ class KnowledgeBase:
     graph: TripleGraph
     taxonomy: Taxonomy
     # asserted plus inferred triples: built by graph_to_kb, extended by
-    # with_inferred; read it through index()
+    # with_inferred
     store: TripleIndex = field(repr=False, compare=False)
     studies: tuple[Study, ...] = ()
     inferred: frozenset[Triple] = frozenset()
@@ -173,12 +173,13 @@ class KnowledgeBase:
         return set(self.graph.triples) | self.inferred
 
     def index(self) -> TripleIndex:
-        """The kb's triple store."""
+        """The kb's triple store. Only perfbench calls this: its `ingest`
+        workload times the call as `kb.index_build`."""
         return self.store
 
     def with_inferred(self, new: set[Triple]) -> "KnowledgeBase":
         """This kb, materialized, plus the inferred triples `new`, which it lacks."""
-        store = self.index().extended(new)
+        store = self.store.extended(new)
         return replace(self, store=store, inferred=self.inferred | new, materialized=True)
 
 
@@ -477,7 +478,7 @@ def kb_stats(kb: KnowledgeBase) -> KbStats:
     Individuals are IRI/blank nodes occurring in individual positions:
     subjects, plus non-class objects of non-type triples."""
     individuals: set[Term] = set()
-    store = kb.index()
+    store = kb.store
     is_class = kb.taxonomy.contains
     for s, p, o in store.all:
         if isinstance(s, (Iri, BlankNode)):

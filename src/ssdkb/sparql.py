@@ -359,7 +359,7 @@ def join(
 
 
 def eval_sparql(query: SparqlQuery, kb: KnowledgeBase) -> BindingTable:
-    index = kb.index()
+    index = kb.store
     column, rows = join(join_order(query.patterns, index), index)
     if not rows:  # the patterns left unjoined gave their variables no column
         return BindingTable(header=query.select_vars)

@@ -85,11 +85,13 @@ class Literal(_Tagged):
 
     def __str__(self) -> str:
         if self.datatype == "string":
-            escaped = self.lexical.replace("\\", "\\\\").replace('"', '\\"')
-            return f'"{escaped}"'
+            return f'"{self.lexical.translate(_QUOTED)}"'
         return self.lexical
 
 
+# what a quoted literal escapes, and how; W3C Turtle allows no raw line
+# break inside "…"
+_QUOTED = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 _ESCAPE_RX = re.compile(r"\\(.?)", re.DOTALL)
 
@@ -111,10 +113,6 @@ RDF_TYPE = Iri(RDF_NS + "type")
 
 def integer(value: int) -> Literal:
     return Literal(str(int(value)), "integer")
-
-
-def decimal(value) -> Literal:
-    return Literal(str(value), "decimal")
 
 
 def ssd(local: str) -> Iri:

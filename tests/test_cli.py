@@ -193,14 +193,25 @@ def test_stats_fig3(capsys):
     assert "individuals: 25" in out
 
 
-def test_bench_small_run(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(["bench", "-n", "5", "--report", "report.kv"]) == 0
-    out = capsys.readouterr().out
-    assert "materialize" in out
-    kv = (tmp_path / "report.kv").read_text()
-    assert "studies=5" in kv
-    assert any(line.startswith("materialize_ms=") for line in kv.splitlines())
+BENCH_LAYERS = [
+    "generate.graph_s", "turtle.serialize_s", "turtle.parse_s", "kb.lift_s",
+    "model.validate_s", "classify.materialize_s", "kb.stats_s", "gc.collect_s",
+]
+
+
+def test_bench_small_run(capsys):
+    assert main(["bench", "-n", "5", "-n", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["schema"] == 1
+    assert report["seed"] == 1
+    assert report["sizes"] == [3, 5]
+    assert {"python", "machine"} <= report.keys()
+    for n in ("3", "5"):
+        run = report["runs"][n]
+        assert list(run) == BENCH_LAYERS + ["peak_rss_mb"]
+        assert all(run[layer] > 0 for layer in BENCH_LAYERS)
+        assert run["peak_rss_mb"] > 0
+    assert list(report["growth"]) == BENCH_LAYERS
 
 
 def test_bench_with_query_dir(tmp_path, capsys):
@@ -211,14 +222,39 @@ def test_bench_with_query_dir(tmp_path, capsys):
         "PREFIX ssid: <http://bdi.si.ehu.es/bdi/ontologies/SSDOnt/SSDOnt#>\n"
         "SELECT ?s WHERE { ?s a ssid:Result }\n"
     )
-    report = tmp_path / "report.kv"
-    code = main(
-        ["bench", "-n", "4", "--queries", str(qdir), "--report", str(report)]
-    )
-    assert code == 0
-    kv = report.read_text()
-    assert "simple" in kv
-    assert "listing" in kv
+    files = [str(qdir / "simple.dl"), str(qdir / "listing.rq")]
+    assert main(["bench", "-n", "4", *files]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["sizes"] == [4]
+    assert "growth" not in report
+    run = report["runs"]["4"]
+    # both engines see the same results
+    assert run["query.simple"]["rows"] == run["query.listing"]["rows"] > 0
+    assert run["query.simple"].keys() == {"cold_ms", "warm_ms", "rows"}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["-n", "0"], "need at least 1 study, got 0"),
+        (["-n", "-3"], "need at least 1 study, got -3"),
+        (["-n", "2", "queries/notes.txt"], "a query file ends in .dl or .rq"),
+    ],
+)
+def test_bench_rejects_bad_arguments(argv, message, capsys):
+    assert main(["bench", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ssdkb bench")
+    assert message in err
+
+
+def test_bench_query_syntax_error_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.dl"
+    bad.write_text("Result and\n")
+    assert main(["bench", "-n", "2", str(QUERIES / "cq_age_range.dl"), str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_unknown_subcommand(capsys):

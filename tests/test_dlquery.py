@@ -239,7 +239,7 @@ def test_results_are_the_callers_own():
         first.update({ssd("intruder"), aut("intruder")})
         assert names(second) == expected
         assert names(eval_dl_query(parse_dl_query(text), kb)) == expected
-    assert kb.index().type_index == TripleIndex(kb.all_triples()).type_index
+    assert kb.store.type_index == TripleIndex(kb.all_triples()).type_index
 
 
 def test_prefixed_names_resolve(fig3_mat):
@@ -398,7 +398,7 @@ def _uses_lookup(text):
     from `by_po`: its filler has fewer members than the property has triples."""
     expr = parse_dl_query(text)
     evaluator = DlEvaluator(_CORPUS)
-    triples = _CORPUS.index().by_p[evaluator.resolve_property(expr.prop)]
+    triples = _CORPUS.store.by_p[evaluator.resolve_property(expr.prop)]
     return len(evaluator.eval(expr.filler)) < len(triples)
 
 

@@ -124,17 +124,17 @@ def _tables(store):
 def test_materialize_extends_the_store_and_leaves_the_parent():
     kb = generate_studies(30, GenProfile(seed=3))
     asserted = _tables(TripleIndex(kb.graph.triples))
-    assert _tables(kb.index()) == asserted
+    assert _tables(kb.store) == asserted
 
     mat = materialize_types(kb)
     assert mat.inferred
-    assert Counter(kb.index().all) == Counter(kb.graph.triples)
-    assert _tables(kb.index()) == asserted
+    assert Counter(kb.store.all) == Counter(kb.graph.triples)
+    assert _tables(kb.store) == asserted
     union = kb.graph.triples | mat.inferred
-    assert Counter(mat.index().all) == Counter(union)
-    assert _tables(mat.index()) == _tables(TripleIndex(union))
-    assert mat.index() is mat.index()
-    assert _tables(materialize_types(mat).index()) == _tables(mat.index())
+    assert Counter(mat.store.all) == Counter(union)
+    assert _tables(mat.store) == _tables(TripleIndex(union))
+    assert mat.index() is mat.store
+    assert _tables(materialize_types(mat).store) == _tables(mat.store)
 
 
 _NUMBERS_TTL = """@prefix ex: <http://e.org/#> .
@@ -146,7 +146,7 @@ ex:c ex:n ex:a .
 
 def test_statistics_are_built_per_predicate_at_first_use():
     ex = lambda name: Iri("http://e.org/#" + name)
-    store = graph_to_kb(parse_turtle(_NUMBERS_TTL)).index()
+    store = graph_to_kb(parse_turtle(_NUMBERS_TTL)).store
     assert store._stats == {} and store._numbers == {}
     assert store.stats(ex("n")) == (6, 3, 6)
     assert store.stats(ex("nope")) == (0, 0, 0)
@@ -167,7 +167,7 @@ def test_statistics_are_built_per_predicate_at_first_use():
 
 def test_candidates_with_a_variable_predicate_match_a_scan():
     kb = materialize_types(generate_studies(10, GenProfile(seed=2)))
-    store = kb.index()
+    store = kb.store
     nodes = sorted({t.subject for t in store.all} | {t.object for t in store.all})[::7]
     for node in nodes + [None]:
         for subject, obj in ((node, None), (None, node), (node, node)):
@@ -200,7 +200,7 @@ def reference_kb_stats(kb):
     store's type_index: one pass over the triples, field by field."""
     individuals = set()
     per_class = {}
-    for t in kb.index().all:
+    for t in kb.store.all:
         if isinstance(t.subject, (Iri, BlankNode)):
             individuals.add(t.subject)
         if t.predicate == RDF_TYPE:
@@ -212,7 +212,7 @@ def reference_kb_stats(kb):
                 individuals.add(t.object)
     return KbStats(
         study_count=len(kb.studies),
-        triple_count=len(kb.index().all),
+        triple_count=len(kb.store.all),
         individual_count=len(individuals),
         per_class_counts=dict(sorted(per_class.items())),
     )

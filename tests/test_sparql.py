@@ -266,7 +266,7 @@ def _reference_sort_key_for(term: Term) -> tuple:
 def reference_eval_sparql(query: SparqlQuery, kb: KnowledgeBase) -> BindingTable:
     """The seed's evaluator, kept verbatim: one dict per row, each pattern
     resolved against every binding, and a paired double sort for ORDER BY."""
-    index = kb.index()
+    index = kb.store
 
     # greedy most-selective-first join order, re-estimated against a
     # representative binding at each step; semantics are order-independent
@@ -411,7 +411,7 @@ def connected_bgps(draw):
 
 
 def _rows_after_each_step(order):
-    return [len(join(order[: i + 1], _SMALL.index())[1]) for i in range(len(order))]
+    return [len(join(order[: i + 1], _SMALL.store)[1]) for i in range(len(order))]
 
 
 @pytest.mark.parametrize(
@@ -425,7 +425,7 @@ def _rows_after_each_step(order):
 )
 def test_join_order_and_rows_after_each_step(name, order, rows):
     query = parse_sparql((QUERIES / f"{name}.rq").read_text())
-    planned = join_order(query.patterns, _SMALL.index())
+    planned = join_order(query.patterns, _SMALL.store)
     assert planned == [query.patterns[i] for i in order]
     assert _rows_after_each_step(planned) == rows
     assert eval_sparql(query, _SMALL).rows == reference_eval_sparql(query, _SMALL).rows
@@ -434,8 +434,8 @@ def test_join_order_and_rows_after_each_step(name, order, rows):
 def test_best_result_joins_no_cross_product():
     query = parse_sparql(BEST_RESULT)
     (outcome,) = [p for p in query.patterns if p.predicate == ssd("hasOutcome")]
-    alone = len(_SMALL.index().candidates(None, outcome.predicate, outcome.object))
-    assert max(_rows_after_each_step(join_order(query.patterns, _SMALL.index()))) <= alone
+    alone = len(_SMALL.store.candidates(None, outcome.predicate, outcome.object))
+    assert max(_rows_after_each_step(join_order(query.patterns, _SMALL.store))) <= alone
 
 
 @settings(max_examples=100, deadline=None)
@@ -512,7 +512,7 @@ def test_join_order_takes_a_disconnected_pattern_only_when_no_connected_one_is_l
         f"PREFIX ex: <{_EX}> SELECT ?x ?y ?z "
         "WHERE { ?x ex:a ex:k . ?x ex:b ?y . ?z ex:c ex:k . ?x ex:d ex:v0 }"
     )
-    order = join_order(query.patterns, kb.index())
+    order = join_order(query.patterns, kb.store)
     assert order == [query.patterns[i] for i in (3, 0, 1, 2)]
-    assert [len(join(order[: i + 1], kb.index())[1]) for i in range(4)] == [1, 1, 3, 6]
+    assert [len(join(order[: i + 1], kb.store)[1]) for i in range(4)] == [1, 1, 3, 6]
     assert eval_sparql(query, kb).rows == reference_eval_sparql(query, kb).rows
