@@ -188,10 +188,12 @@ def materialize_types(kb: KnowledgeBase) -> KnowledgeBase:
     taxonomy = kb.taxonomy
     inferred: set[Triple] = set()
 
+    # `superclasses` includes the class itself, whose triples the store holds
     for cls, members in kb.store.type_index.items():
         if taxonomy.contains(cls):
             for sup in taxonomy.superclasses(cls):
-                inferred.update(Triple(node, RDF_TYPE, sup) for node in members)
+                if sup != cls:
+                    inferred.update(Triple(node, RDF_TYPE, sup) for node in members)
 
     for study in kb.studies:
         classification = classify_study(study, taxonomy)

@@ -114,11 +114,18 @@ class TripleIndex:
 
     def objects(self, subject: Term, predicate: Iri) -> list[Term]:
         """Objects of `subject`'s `predicate` triples, in term order."""
-        return sorted(t.object for t in self.by_sp.get((subject, predicate), ()))
+        found = self.by_sp.get((subject, predicate), ())
+        if len(found) == 1:
+            return [found[0][2]]
+        return sorted(t[2] for t in found)
 
     def one(self, subject: Term, predicate: Iri) -> Term | None:
+        """The least object of `subject`'s `predicate` triples in term order,
+        or None if there is none."""
         found = self.by_sp.get((subject, predicate), ())
-        return min((t.object for t in found), default=None)
+        if len(found) == 1:
+            return found[0][2]
+        return min((t[2] for t in found), default=None)
 
     def stats(self, predicate: Iri | None) -> tuple[int, int, int]:
         """The number of triples, distinct subjects and distinct objects of
@@ -476,17 +483,18 @@ class KbStats:
 def kb_stats(kb: KnowledgeBase) -> KbStats:
     """Exact counts over the kb's asserted and inferred triples.
     Individuals are IRI/blank nodes occurring in individual positions:
-    subjects, plus non-class objects of non-type triples."""
-    individuals: set[Term] = set()
+    subjects, plus non-class objects of non-type triples. Both are read from
+    the store's keys, which hold each (subject, predicate) and (predicate,
+    object) pair once."""
     store = kb.store
     is_class = kb.taxonomy.contains
-    for s, p, o in store.all:
-        if isinstance(s, (Iri, BlankNode)):
-            individuals.add(s)
-        if p != RDF_TYPE and isinstance(o, (Iri, BlankNode)):
-            # hasMBDItemType points at a class, not an individual
-            if not (isinstance(o, Iri) and is_class(o)):
-                individuals.add(o)
+    individuals = {s for s, _ in store.by_sp if isinstance(s, (Iri, BlankNode))}
+    individuals.update(
+        o
+        for p, o in store.by_po
+        # hasMBDItemType points at a class, not an individual
+        if p != RDF_TYPE and (isinstance(o, BlankNode) or isinstance(o, Iri) and not is_class(o))
+    )
     # the store's triples are distinct, so each class has one type triple
     # per member
     per_class: dict[str, int] = {}

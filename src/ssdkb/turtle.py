@@ -6,14 +6,22 @@ angle brackets, the `a` keyword, `;` predicate lists, `.` terminators,
 `#` comments. Collections, language tags and numeric exponents are out of
 scope.
 
-The reader makes one pass over the text with the regex and error rule of
-`scan`. Its statement loop calls `next` on `finditer` itself rather than go
-through `scan.Cursor`, which would add a Python call per token.
+The reader makes one pass over the text. It reads a statement with two
+regexes built from `scan`'s token fragments: one matches the subject and
+the first predicate-object pair, the other each later pair, each match
+ending at the `;` or `.` after its object. So it takes one Python step per
+pair, not per token. Where neither matches, or a term does not resolve, it
+reads that statement again from its start with the token loop: `scan`'s
+regex and error rule, one token at a time, calling `next` on `finditer`
+itself rather than going through `scan.Cursor`. The token loop also reads
+every `@prefix` directive and the end of the text, and it raises every
+syntax error, so messages and positions are those of a token-by-token read.
 
 Within one document, every distinct IRI, prefixed name, blank-node label
 and literal token is turned into a term once, and all its occurrences share
-that instance. Sharing is safe because terms are frozen. An `@prefix`
-directive empties the cache, since it can change what a prefixed name means.
+that instance; the term's kind is read from the token's first character.
+Sharing is safe because terms are frozen. An `@prefix` directive empties
+the cache, since it can change what a prefixed name means.
 """
 
 from __future__ import annotations
@@ -72,6 +80,11 @@ class TripleGraph:
 
 # --- reader ---
 
+_BLANK = r"_:[A-Za-z0-9][A-Za-z0-9_\-]*"
+# Local part may be empty (`ssd:` alone is valid but unused here).
+_PNAME = r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z_][A-Za-z0-9_\-]*)?"
+_A = r"a(?![A-Za-z0-9_\-:])"
+
 # After any whitespace and `#` comments. The first alternative that matches
 # wins, so `a:` is a prefixed name and `a` alone the keyword. The kinds are
 # what error messages print.
@@ -79,21 +92,44 @@ _TOKEN_RX = scan.language(
     scan.SKIP,
     IRIREF=scan.IRIREF,
     PREFIX_DIRECTIVE=r"@prefix\b",
-    BLANK=r"_:[A-Za-z0-9][A-Za-z0-9_\-]*",
-    # Local part may be empty (`ssd:` alone is valid but unused here).
-    PNAME=r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z_][A-Za-z0-9_\-]*)?",
+    BLANK=_BLANK,
+    PNAME=_PNAME,
     DECIMAL=scan.DECIMAL,
     INTEGER=scan.INTEGER,
     STRING=scan.STRING,
-    A=r"a(?![A-Za-z0-9_\-:])",
+    A=_A,
     SEMI=";",
     DOT=r"\.",
 )
+_TERM_KINDS = frozenset(("IRIREF", "BLANK", "PNAME", "DECIMAL", "INTEGER", "STRING"))
+
+# The pair regexes. Each piece matches only where the scanner reads a token
+# of its kind, and only the whole token, so backtracking cannot split a
+# token the way a plain concatenation would (`s:a s:p .` read as
+# `s: a s:p .`). So a name is not followed by a name character, an integer
+# not by a digit or by the `.5` that makes it a decimal, and a comment runs
+# to the end of its line. A decimal needs no guard: only `;` or `.` may
+# follow it.
+_SKIP = r"\s*(?:#[^\n]*(?![^\n])\s*)*"
+_NAME_END = r"(?![A-Za-z0-9_\-])"
+_NODE = rf"{scan.IRIREF}|{_BLANK}{_NAME_END}|{_PNAME}{_NAME_END}"
+_PAIR = (
+    rf"({_A}|{_PNAME}{_NAME_END}|{scan.IRIREF}){_SKIP}"
+    rf"({_NODE}|{scan.DECIMAL}|{scan.INTEGER}(?!\.?[0-9])|{scan.STRING})"
+    rf"{_SKIP}([;.])"
+)
+# a statement's subject and first pair: (subject, predicate, object, ";" or ".")
+_HEAD_RX = re.compile(rf"{_SKIP}({_NODE}){_SKIP}{_PAIR}")
+# a later pair, or the "." after a trailing ";": (predicate, object, ";" or ".")
+_TAIL_RX = re.compile(rf"{_SKIP}(?:\.|{_PAIR})")
 
 
 class _Reader:
-    """One pass over a document. The statement loop pulls each token from
-    the scanner when it needs it."""
+    """One pass over a document. Most statements are read by the pair
+    regexes, one match per predicate-object pair. Where they do not match,
+    or a term does not resolve, the token loop reads that statement again
+    from its start, one token at a time: it alone reads directives and the
+    end of the text, and it alone raises syntax errors."""
 
     def __init__(self, text: str):
         self.text = text
@@ -103,16 +139,54 @@ class _Reader:
         self.terms: dict[str, Term] = {}
 
     def read(self) -> TripleGraph:
-        m = next(self.tokens)
-        while m.lastgroup != "EOF":
-            if m.lastgroup == "PREFIX_DIRECTIVE":
-                self.read_prefix()
-            else:
-                self.read_statement(m)
-            m = next(self.tokens)
+        pos: int | None = 0
+        while pos is not None:
+            end = self.read_pairs(pos)
+            pos = self.read_tokens(pos) if end is None else end
         return self.graph
 
-    def read_statement(self, m: re.Match) -> None:
+    def read_pairs(self, pos: int) -> int | None:
+        """The end of the statement at `pos`, read by the pair regexes; None
+        if they cannot read all of it."""
+        text, terms, resolve = self.text, self.terms, self.resolve
+        add = self.graph.triples.add
+        # The pattern admits only IRIs and `a` as predicates, so the check
+        # in `Triple.__new__` cannot fail here.
+        new = tuple.__new__
+        m = _HEAD_RX.match(text, pos)
+        if m is None:
+            return None
+        s, p, o, sep = m.groups()
+        subject = terms.get(s) or resolve(s)
+        if subject is None:
+            return None
+        while True:
+            predicate = terms.get(p) or (RDF_TYPE if p == "a" else resolve(p))
+            obj = terms.get(o) or resolve(o)
+            if predicate is None or obj is None:
+                return None
+            add(new(Triple, (subject, predicate, obj)))
+            if sep == ".":
+                return m.end()
+            m = _TAIL_RX.match(text, m.end())
+            if m is None:
+                return None
+            p, o, sep = m.groups()
+            if p is None:  # a trailing `;` before the `.`
+                return m.end()
+
+    def read_tokens(self, pos: int) -> int | None:
+        """The end of the directive or statement at `pos`, read by the token
+        loop; None at the end of the text."""
+        self.tokens = _TOKEN_RX.finditer(self.text, pos)
+        m = next(self.tokens)
+        if m.lastgroup == "EOF":
+            return None
+        if m.lastgroup == "PREFIX_DIRECTIVE":
+            return self.read_prefix()
+        return self.read_statement(m)
+
+    def read_statement(self, m: re.Match) -> int:
         tokens = self.tokens
         triples = self.graph.triples
         subject = self.term(m)
@@ -133,18 +207,20 @@ class _Reader:
                 raise self.error("unterminated statement", m)
             elif kind != "DOT":
                 raise self.error(f"expected ';' or '.', found {m[kind]!r}", m)
-            return
+            return m.end()
 
-    def read_prefix(self) -> None:
+    def read_prefix(self) -> int:
         m = next(self.tokens)
         label = self.expect(m, "PNAME")
         if not label.endswith(":"):
             raise self.error("prefix declaration label must end with ':'", m)
         iri = self.expect(next(self.tokens), "IRIREF")
-        self.expect(next(self.tokens), "DOT")
+        m = next(self.tokens)
+        self.expect(m, "DOT")
         self.graph.prefix_table[label[:-1]] = iri[1:-1]
         # Cached prefixed names may resolve differently under the new prefix.
         self.terms.clear()
+        return m.end()
 
     def expect(self, m: re.Match, kind: str) -> str:
         if m.lastgroup != kind:
@@ -162,28 +238,37 @@ class _Reader:
     def term(self, m: re.Match) -> Term:
         kind = m.lastgroup
         text = m[kind]
-        term = self.terms.get(text)
-        if term is not None:
-            return term
-        if kind == "PNAME":
-            label, _, local = text.partition(":")
-            ns = self.graph.prefix_table.get(label)
-            if ns is None:
-                raise self.error(f"unresolvable prefix {label!r}", m)
-            term = Iri(ns + local)
-        elif kind == "IRIREF":
-            term = Iri(text[1:-1])
-        elif kind == "BLANK":
+        if kind not in _TERM_KINDS:
+            raise self.error(f"unexpected token {text!r}", m)
+        term = self.terms.get(text) or self.resolve(text)
+        if term is None:
+            if kind == "STRING":
+                raise self.error("bad string escape", m)
+            raise self.error(f"unresolvable prefix {text.partition(':')[0]!r}", m)
+        return term
+
+    def resolve(self, text: str) -> Term | None:
+        """The term a term token's text stands for, now cached; None for a
+        prefix that is not declared or a bad string escape. The first
+        character tells the kind."""
+        first = text[0]
+        if first == "<":
+            term: Term = Iri(text[1:-1])
+        elif first == "_":
             term = BlankNode(text[2:])
-        elif kind == "INTEGER" or kind == "DECIMAL":
-            term = Literal(text, kind.lower())
-        elif kind == "STRING":
+        elif first == '"':
             try:
                 term = Literal(unescape(text[1:-1]), "string")
             except ValueError:
-                raise self.error("bad string escape", m) from None
+                return None
+        elif first in "+-0123456789":
+            term = Literal(text, "decimal" if "." in text else "integer")
         else:
-            raise self.error(f"unexpected token {text!r}", m)
+            label, _, local = text.partition(":")
+            ns = self.graph.prefix_table.get(label)
+            if ns is None:
+                return None
+            term = Iri(ns + local)
         self.terms[text] = term
         return term
 

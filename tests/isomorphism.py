@@ -4,8 +4,8 @@ with an explicit stack, not one frame per label, settles symmetric leftovers."""
 
 from __future__ import annotations
 
-from .terms import BlankNode
-from .turtle import Triple, TripleGraph
+from ssdkb.terms import BlankNode
+from ssdkb.turtle import Triple, TripleGraph
 
 
 def _split(triples: set[Triple]) -> tuple[set[Triple], dict[str, list[tuple]]]:

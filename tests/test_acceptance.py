@@ -8,11 +8,11 @@ from decimal import Decimal
 from itertools import product
 
 from conftest import FIXTURES, QUERIES, load_kb
+from isomorphism import isomorphic
 from ssdkb import vocab
 from ssdkb.classify import classify_design, materialize_types
 from ssdkb.dlquery import eval_dl_query, parse_dl_query
 from ssdkb.generate import GenProfile, generate_graph, generate_studies
-from ssdkb.isomorphism import isomorphic
 from ssdkb.kb import graph_to_kb, kb_stats, validate_kb
 from ssdkb.model import Phase, PhaseKind, Study, age_in_months
 from ssdkb.sparql import eval_sparql, parse_sparql

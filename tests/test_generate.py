@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isomorphism import isomorphic
 from ssdkb import vocab
 from ssdkb.classify import classify_design, materialize_types
 from ssdkb.generate import (
@@ -12,7 +13,6 @@ from ssdkb.generate import (
     generate_studies,
     generated_design,
 )
-from ssdkb.isomorphism import isomorphic
 from ssdkb.kb import kb_stats, validate_kb
 from ssdkb.taxonomy import core_taxonomy
 from ssdkb.turtle import parse_turtle, serialize_turtle

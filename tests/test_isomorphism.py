@@ -1,8 +1,8 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
+from isomorphism import isomorphic
 from ssdkb.generate import GenProfile, generate_graph
-from ssdkb.isomorphism import isomorphic
 from ssdkb.terms import BlankNode, Iri, Literal
 from ssdkb.turtle import Triple, parse_turtle, serialize_turtle
 

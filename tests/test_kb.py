@@ -3,7 +3,7 @@ from decimal import Decimal
 
 import pytest
 
-from conftest import FIXTURES, load_kb
+from conftest import FIXTURES, load_graph, load_kb
 from ssdkb import vocab
 from ssdkb.classify import materialize_types
 from ssdkb.generate import GenProfile, generate_studies
@@ -92,6 +92,24 @@ def test_unknown_predicates_survive(fig3_kb):
     assert Triple(ssd("paul"), ssd("likes"), ssd("trains")) in kb.graph.triples
     again = kb_to_graph(kb)
     assert Triple(ssd("paul"), ssd("likes"), ssd("trains")) in again.triples
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lift_takes_the_least_of_several_values(reverse):
+    # `hasCondition` is single-valued. With two values the lift takes the
+    # least in term order, whichever the store meets first: the graph's
+    # triples go in as a list, so the store meets them in its order.
+    graph = load_graph("fig3.ttl")
+    triples = graph.triples | {Triple(ssd("paul"), vocab.HAS_CONDITION, ssd("adhd"))}
+    graph.triples = sorted(triples, reverse=reverse)
+    store = TripleIndex(graph.triples)
+    values = [t.object for t in store.by_sp[ssd("paul"), vocab.HAS_CONDITION]]
+    assert values == ([ssd("autism"), ssd("adhd")] if reverse else [ssd("adhd"), ssd("autism")])
+    assert store.one(ssd("paul"), vocab.HAS_CONDITION) == ssd("adhd")
+    assert store.objects(ssd("paul"), vocab.HAS_CONDITION) == [ssd("adhd"), ssd("autism")]
+    (study,) = graph_to_kb(graph).studies
+    (paul,) = study.participants
+    assert paul.condition == ssd("adhd")
 
 
 def test_kb_to_graph_asserted_only_until_materialized(fig3_kb):

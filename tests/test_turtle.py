@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
+from isomorphism import isomorphic
+from ssdkb import scan, turtle
 from ssdkb.generate import GenProfile, generate_graph
-from ssdkb.isomorphism import isomorphic
 from ssdkb.kb import graph_to_kb
 from ssdkb.terms import BlankNode, Iri, Literal, RDF_TYPE, SSD_NS, Term, ssd, unescape
 from ssdkb.turtle import Triple, TripleGraph, TurtleSyntaxError, parse_turtle, serialize_turtle
@@ -322,10 +323,8 @@ def test_redefined_prefix_applies_to_later_names():
 
 # Turtle-significant characters plus a few whole tokens, so that some
 # inputs get past the first statement.
-_turtle_text = st.lists(
-    st.sampled_from(list('@prefix:_ab01.;"\\#<>\n \t-+^é') + ["@prefix s: <x> .", "s:a ", "<x> "]),
-    max_size=40,
-).map("".join)
+_TURTLE_PIECES = list('@prefix:_ab01.;"\\#<>\n \t-+^é') + ["@prefix s: <x> .", "s:a ", "<x> "]
+_turtle_text = st.lists(st.sampled_from(_TURTLE_PIECES), max_size=40).map("".join)
 
 
 @given(_turtle_text)
@@ -335,3 +334,227 @@ def test_parse_turtle_is_total(text):
     except TurtleSyntaxError:
         return
     assert isinstance(graph, TripleGraph)
+
+
+# --- reference reader ---
+# The token-loop reader as it was before the pair regexes: one Python step
+# per token. `parse_turtle` must give the same graph, or the same error at
+# the same line and column, on every text.
+
+# After any whitespace and `#` comments. The first alternative that matches
+# wins, so `a:` is a prefixed name and `a` alone the keyword. The kinds are
+# what error messages print.
+_REFERENCE_TOKEN_RX = scan.language(
+    scan.SKIP,
+    IRIREF=scan.IRIREF,
+    PREFIX_DIRECTIVE=r"@prefix\b",
+    BLANK=r"_:[A-Za-z0-9][A-Za-z0-9_\-]*",
+    # Local part may be empty (`ssd:` alone is valid but unused here).
+    PNAME=r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z_][A-Za-z0-9_\-]*)?",
+    DECIMAL=scan.DECIMAL,
+    INTEGER=scan.INTEGER,
+    STRING=scan.STRING,
+    A=r"a(?![A-Za-z0-9_\-:])",
+    SEMI=";",
+    DOT=r"\.",
+)
+
+
+class ReferenceReader:
+    """One pass over a document. The statement loop pulls each token from
+    the scanner when it needs it."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _REFERENCE_TOKEN_RX.finditer(text)
+        self.graph = TripleGraph(prefix_table={})
+        # token text -> the one term instance shared by all its occurrences
+        self.terms: dict[str, Term] = {}
+
+    def read(self) -> TripleGraph:
+        m = next(self.tokens)
+        while m.lastgroup != "EOF":
+            if m.lastgroup == "PREFIX_DIRECTIVE":
+                self.read_prefix()
+            else:
+                self.read_statement(m)
+            m = next(self.tokens)
+        return self.graph
+
+    def read_statement(self, m: re.Match) -> None:
+        tokens = self.tokens
+        triples = self.graph.triples
+        subject = self.term(m)
+        if isinstance(subject, Literal):
+            raise self.error("subject cannot be a literal", m)
+        m = next(tokens)
+        while True:
+            predicate = self.predicate(m)
+            triples.add(Triple(subject, predicate, self.term(next(tokens))))
+            m = next(tokens)
+            kind = m.lastgroup
+            if kind == "SEMI":
+                # Permit a trailing `;` before the `.`
+                m = next(tokens)
+                if m.lastgroup != "DOT":
+                    continue
+            elif kind == "EOF":
+                raise self.error("unterminated statement", m)
+            elif kind != "DOT":
+                raise self.error(f"expected ';' or '.', found {m[kind]!r}", m)
+            return
+
+    def read_prefix(self) -> None:
+        m = next(self.tokens)
+        label = self.expect(m, "PNAME")
+        if not label.endswith(":"):
+            raise self.error("prefix declaration label must end with ':'", m)
+        iri = self.expect(next(self.tokens), "IRIREF")
+        self.expect(next(self.tokens), "DOT")
+        self.graph.prefix_table[label[:-1]] = iri[1:-1]
+        # Cached prefixed names may resolve differently under the new prefix.
+        self.terms.clear()
+
+    def expect(self, m: re.Match, kind: str) -> str:
+        if m.lastgroup != kind:
+            raise self.error(f"expected {kind}, found {m.lastgroup} {m[m.lastgroup]!r}", m)
+        return m[kind]
+
+    def predicate(self, m: re.Match) -> Iri:
+        kind = m.lastgroup
+        if kind == "A":
+            return RDF_TYPE
+        if kind != "PNAME" and kind != "IRIREF":
+            raise self.error(f"predicate must be an IRI, found {m[kind]!r}", m)
+        return self.term(m)  # type: ignore[return-value]
+
+    def term(self, m: re.Match) -> Term:
+        kind = m.lastgroup
+        text = m[kind]
+        term = self.terms.get(text)
+        if term is not None:
+            return term
+        if kind == "PNAME":
+            label, _, local = text.partition(":")
+            ns = self.graph.prefix_table.get(label)
+            if ns is None:
+                raise self.error(f"unresolvable prefix {label!r}", m)
+            term = Iri(ns + local)
+        elif kind == "IRIREF":
+            term = Iri(text[1:-1])
+        elif kind == "BLANK":
+            term = BlankNode(text[2:])
+        elif kind == "INTEGER" or kind == "DECIMAL":
+            term = Literal(text, kind.lower())
+        elif kind == "STRING":
+            try:
+                term = Literal(unescape(text[1:-1]), "string")
+            except ValueError:
+                raise self.error("bad string escape", m) from None
+        else:
+            raise self.error(f"unexpected token {text!r}", m)
+        self.terms[text] = term
+        return term
+
+    def error(self, message: str, m: re.Match) -> TurtleSyntaxError:
+        """The error for token `m`, or for the first unexpected character
+        from `m` on if there is one."""
+        bad = scan.first_unexpected(itertools.chain((m,), self.tokens))
+        if bad is not None:
+            m, message = bad, f"unexpected character {bad['ERROR']!r}"
+        pos = m.start(m.lastgroup)
+        line = self.text.count("\n", 0, pos) + 1
+        return TurtleSyntaxError(message, line, pos - self.text.rfind("\n", 0, pos))
+
+
+def reference_parse_turtle(text: str) -> TripleGraph:
+    return ReferenceReader(text).read()
+
+
+def outcome(parse, text: str):
+    """What `parse` makes of `text`: the triples and prefixes, or the error."""
+    try:
+        graph = parse(text)
+    except TurtleSyntaxError as exc:
+        return str(exc), exc.line, exc.column
+    return graph.triples, graph.prefix_table
+
+
+def assert_reads_like_reference(text: str) -> None:
+    assert outcome(parse_turtle, text) == outcome(reference_parse_turtle, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _S + "s:a s:p 1.5x .",
+        _S + "s:a s:p 1. ",
+        _S + "s:a s:p 1.5 s:q .",
+        _S + "s:a s:p 1.;",
+        _S + "s:a a:b c:d .",
+        "@prefix a: <http://e.org/a#> .\n@prefix c: <http://e.org/c#> .\na:a a:b c:d .",
+        _S + "s:a s:p s:o ; .",
+        _S + "s:a s:p s:o ;\n  # a comment\n  . s:b s:p s:o .",
+        _S + '"lit" s:p s:o .',
+        _S + "1 s:p s:o .",
+        _S + "s:a s:p .",
+        _S + "s:a s:p s:o #. \n",
+        _S + "s:a s:p s:o #.\n.",
+        _S + "s:a:b s:c .",
+        _S + "s:a s:p s:1 .",
+        _S + "s:a s:p s: .",
+        _S + "s:a s:p _:b1 ; s:q _:b1x-y .",
+        _S + "_:xa s:o .",
+        _S + "s:a s:p a .",
+        _S + "a s:p s:o .",
+        _S + "s:a a s:C;s:p -1;s:q +2.50;s:r <http://e.org/o>.",
+        _S + 's:a s:p "x\\q" ; s:q s:o .',
+        _S + 's:a s:p "x\\"y" .',
+        _S + "s:a s:p s:o .\n@prefix s: <http://e.org/b#> .\ns:a s:p s:o .",
+        _S + "s:a s:p s:o . nope:a s:p s:o .",
+        _S + "s:a s:p s:o . s:b s:p s:o ; s:q",
+    ],
+)
+def test_reader_matches_reference(text):
+    assert_reads_like_reference(text)
+
+
+_CORPUS_20 = serialize_turtle(generate_graph(20, GenProfile(seed=5)))
+
+
+@st.composite
+def _edited_corpus(draw):
+    """The 20-study corpus with 1-3 slices of up to 4 characters each
+    replaced by up to 3 pieces of `_turtle_text`'s alphabet."""
+    text = _CORPUS_20
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        n = draw(st.integers(0, 4))
+        new = "".join(draw(st.lists(st.sampled_from(_TURTLE_PIECES), max_size=3)))
+        text = text[:i] + new + text[i + n:]
+    return text
+
+
+@given(_edited_corpus())
+def test_reader_matches_reference_on_edited_corpus(text):
+    assert_reads_like_reference(text)
+
+
+@given(_turtle_text)
+def test_reader_matches_reference_on_short_texts(text):
+    assert_reads_like_reference(text)
+
+
+def test_pair_regexes_read_every_statement_of_a_corpus(monkeypatch):
+    # the token loop reads only the directives and the end of the text
+    starts = []
+    read_tokens = turtle._Reader.read_tokens
+
+    def counted(self, pos):
+        starts.append(pos)
+        return read_tokens(self, pos)
+
+    monkeypatch.setattr(turtle._Reader, "read_tokens", counted)
+    graph = parse_turtle(_CORPUS_20)
+    assert len(starts) == len(graph.prefix_table) + 1
+    assert graph.triples == reference_parse_turtle(_CORPUS_20).triples
