@@ -1,8 +1,11 @@
 """`ssdkb bench`: time each layer of the load path and each query file on
 generated corpora of the given sizes, and report it as one JSON document.
 
-The layer names are those of BENCHMARK.json. `classify.materialize_s`
-includes the validation pass that `materialize_types` runs itself.
+Each size's load chain runs three times and each layer reports its
+median, so that one slow sample does not set a growth ratio; the queries
+run on the last chain's kb. The layer names are those of BENCHMARK.json.
+`classify.materialize_s` includes the validation pass that
+`materialize_types` runs itself.
 `gc.collect_s` is one full collection after the load: without it, the
 first older-generation scan of the fresh kb's containers is charged to
 whichever query happens to trigger it. `peak_rss_mb` is the process's
@@ -22,7 +25,7 @@ from pathlib import Path
 from .classify import materialize_types
 from .dlquery import eval_dl_query, parse_dl_query
 from .generate import GenProfile, generate_graph
-from .kb import graph_to_kb, kb_stats, validate_kb
+from .kb import KnowledgeBase, graph_to_kb, kb_stats, validate_kb
 from .sparql import eval_sparql, parse_sparql
 from .turtle import parse_turtle, serialize_turtle
 
@@ -30,6 +33,7 @@ LAYERS = (
     "generate.graph_s", "turtle.serialize_s", "turtle.parse_s", "kb.lift_s",
     "model.validate_s", "classify.materialize_s", "kb.stats_s", "gc.collect_s",
 )
+LOAD_RUNS = 3
 WARM_RUNS = 5
 # a query file's suffix picks its parser and evaluator; each evaluator
 # returns the answer's rows
@@ -63,9 +67,8 @@ def _ms(run, kb) -> tuple[float, list]:
     return round((time.perf_counter() - start) * 1000.0, 3), rows
 
 
-def bench_size(n: int, profile: GenProfile, queries: dict) -> dict:
-    """Every layer's seconds, every query's timings and the peak RSS, on
-    one corpus of `n` studies."""
+def _load(n: int, profile: GenProfile) -> tuple[dict, KnowledgeBase]:
+    """One load chain's layer seconds, and the kb it built."""
     out: dict = {}
     graph = _timed(out, "generate.graph_s", generate_graph, n, profile)
     text = _timed(out, "turtle.serialize_s", serialize_turtle, graph)
@@ -78,6 +81,19 @@ def bench_size(n: int, profile: GenProfile, queries: dict) -> dict:
     kb = _timed(out, "classify.materialize_s", materialize_types, kb)
     _timed(out, "kb.stats_s", kb_stats, kb)
     _timed(out, "gc.collect_s", gc.collect)
+    return out, kb
+
+
+def bench_size(n: int, profile: GenProfile, queries: dict) -> dict:
+    """Every layer's median seconds over `LOAD_RUNS` load chains, every
+    query's timings on the last chain's kb, and the peak RSS, on corpora
+    of `n` studies."""
+    chains = []
+    for _ in range(LOAD_RUNS):
+        kb = None  # the last chain's kb goes before the next is built
+        layers, kb = _load(n, profile)
+        chains.append(layers)
+    out = {layer: statistics.median(c[layer] for c in chains) for layer in LAYERS}
     for name, run in queries.items():
         cold, rows = _ms(run, kb)
         warm = statistics.median(_ms(run, kb)[0] for _ in range(WARM_RUNS))

@@ -4,9 +4,9 @@ Subcommands: validate, classify, query, gen, bench, stats.
 Exit codes: 0 success, 1 validation violations, 2 parse/usage errors.
 
 `ssdkb bench [-n N]... [--profile P] [QUERY_FILE ...]` prints one JSON
-document: per corpus size, the time of each load layer, of one full
-collection, and of each `.dl`/`.rq` query file cold and warm, and the
-process's peak RSS; see `ssdkb.bench`.
+document: per corpus size, the median time over three loads of each load
+layer and of one full collection, the time of each `.dl`/`.rq` query file
+cold and warm, and the process's peak RSS; see `ssdkb.bench`.
 """
 
 from __future__ import annotations

@@ -209,43 +209,38 @@ class DlEvaluator:
         self.by_po = index.by_po
         self.by_sp = index.by_sp
         self.type_index = index.type_index
-        self.individuals = index.individual_iris
         self.paths: list[tuple[Some, str]] = []
 
     def resolve_class(self, name: str) -> Iri:
-        iri = self._resolve_name(name)
-        if iri is None or not self.kb.taxonomy.contains(iri):
-            raise DlEvalError(f"unknown class name: {name}")
-        return iri
+        return self._resolve_name(name, "class", self.kb.taxonomy.contains)
 
     def resolve_property(self, name: str) -> Iri:
-        iri = self._resolve_name(name)
-        if iri is None:
-            raise DlEvalError(f"unknown property name: {name}")
-        if iri not in vocab.PROPERTIES and iri not in self.by_predicate:
-            raise DlEvalError(f"unknown property name: {name}")
-        return iri
+        return self._resolve_name(
+            name, "property", lambda iri: iri in vocab.PROPERTIES or iri in self.by_predicate
+        )
 
     def resolve_individual(self, name: str) -> Term:
-        iri = self._resolve_name(name)
-        if iri is None:
-            raise DlEvalError(f"unknown individual name: {name}")
-        return iri
+        return self._resolve_name(
+            name, "individual", lambda iri: self.kb.taxonomy.contains(iri) or self.store.holds(iri)
+        )
 
-    def _resolve_name(self, name: str) -> Iri | None:
+    def _resolve_name(self, name: str, role: str, known: Callable[[Iri], bool]) -> Iri:
+        """A prefixed name's one IRI; a bare name's core-namespace IRI if
+        `known` accepts it, else its extension IRI if `known` accepts that.
+        An individual need not be known: a bare one the kb has not seen
+        takes the core IRI."""
         if ":" in name:
             prefix, local = name.split(":", 1)
             ns = DEFAULT_PREFIXES.get(prefix)
-            return Iri(ns + local) if ns else None
-        core = None
-        for ns in (SSD_NS, AUT_NS):
-            candidate = ns + name
-            iri = Iri(candidate)
-            if self.kb.taxonomy.contains(iri) or candidate in self.individuals:
+            iris = [Iri(ns + local)] if ns else []
+        else:
+            iris = [Iri(SSD_NS + name), Iri(AUT_NS + name)]
+        for iri in iris:
+            if known(iri):
                 return iri
-            core = core or iri
-        # default to the core namespace for names the kb has not seen
-        return core
+        if role == "individual" and iris:
+            return iris[0]
+        raise DlEvalError(f"unknown {role} name: {name}")
 
     def eval(self, expr: ClassExpr) -> set[Term]:
         """The members of `expr`: a set that callers must not change."""

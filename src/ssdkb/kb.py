@@ -68,7 +68,6 @@ class TripleIndex:
         self.by_po: dict[tuple, list[Triple]] = {}
         self.by_sp: dict[tuple, list[Triple]] = {}
         self.type_index: dict[Iri, set[Term]] = {}
-        self.individual_iris: set[str] = set()
         for t in self.all:
             s, p, o = t
             self.by_p.setdefault(p, []).append(t)
@@ -76,9 +75,6 @@ class TripleIndex:
             self.by_sp.setdefault((s, p), []).append(t)
             if p == RDF_TYPE and isinstance(o, Iri):
                 self.type_index.setdefault(o, set()).add(s)
-            for term in (s, o):
-                if isinstance(term, Iri):
-                    self.individual_iris.add(term.value)
 
     def extended(self, triples) -> "TripleIndex":
         """A store over this store's triples plus `triples`, none of which
@@ -91,8 +87,12 @@ class TripleIndex:
         store.by_po = _joined(self.by_po, added.by_po, list.__add__)
         store.by_sp = _joined(self.by_sp, added.by_sp, list.__add__)
         store.type_index = _joined(self.type_index, added.type_index, set.__or__)
-        store.individual_iris = self.individual_iris | added.individual_iris
         return store
+
+    def holds(self, term: Term) -> bool:
+        """Whether `term` is the subject or the object of a stored triple:
+        one probe of `by_sp` and one of `by_po` per predicate."""
+        return any((term, p) in self.by_sp or (p, term) in self.by_po for p in self.by_p)
 
     def candidates(self, subject, predicate, obj) -> list[Triple]:
         """Triples matching the given constants (None = wildcard). The list
@@ -319,6 +319,11 @@ def graph_to_kb(graph: TripleGraph, taxonomy: Taxonomy | None = None) -> Knowled
             phase_cache[node] = _read_phase(store, node)
         return phase_cache[node]
 
+    def phases_of(owner: Term) -> tuple[Phase, ...]:
+        """The phases of a study or an MBD item, by position."""
+        phases = (phase_of(p) for p in store.objects(owner, vocab.HAS_PHASE))
+        return tuple(sorted(phases, key=lambda ph: ph.position))
+
     # results grouped by the phase they reference
     results_by_phase: dict[Term, list[Result]] = {}
     for node in typed.get(vocab.RESULT, ()):
@@ -336,29 +341,17 @@ def graph_to_kb(graph: TripleGraph, taxonomy: Taxonomy | None = None) -> Knowled
             _read_participant(store, p) for p in store.objects(node, vocab.HAS_PARTICIPANT)
         )
         outcomes = tuple(store.objects(node, vocab.HAS_OUTCOME))
-        phases = tuple(
-            sorted(
-                (phase_of(p) for p in store.objects(node, vocab.HAS_PHASE)),
-                key=lambda ph: ph.position,
+        phases = phases_of(node)
+        items = [
+            MBDItem(
+                id=item_node,
+                subject=store.one(item_node, vocab.HAS_PARTICIPANT),
+                setting=store.one(item_node, vocab.HAS_SETTING),
+                outcome=store.one(item_node, vocab.HAS_OUTCOME),
+                phases=phases_of(item_node),
             )
-        )
-        items = []
-        for item_node in store.objects(node, vocab.HAS_MBD_ITEM):
-            item_phases = tuple(
-                sorted(
-                    (phase_of(p) for p in store.objects(item_node, vocab.HAS_PHASE)),
-                    key=lambda ph: ph.position,
-                )
-            )
-            items.append(
-                MBDItem(
-                    id=item_node,
-                    subject=store.one(item_node, vocab.HAS_PARTICIPANT),
-                    setting=store.one(item_node, vocab.HAS_SETTING),
-                    outcome=store.one(item_node, vocab.HAS_OUTCOME),
-                    phases=item_phases,
-                )
-            )
+            for item_node in store.objects(node, vocab.HAS_MBD_ITEM)
+        ]
         item_type = store.one(node, vocab.HAS_MBD_ITEM_TYPE)
         if item_type is not None and not isinstance(item_type, Iri):
             raise SchemaError("hasMBDItemType must name a class", node)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import vocab
-from .terms import AUT_NS, SSD_NS, Iri
+from .terms import Iri
 
 
 class TaxonomyError(Exception):
@@ -102,14 +102,6 @@ class Taxonomy:
         if name not in self.classes:
             raise UnknownClassError(f"unknown class: {name}")
         return self._depth[name]
-
-    def resolve(self, local: str) -> Iri:
-        """Find a class by local name, trying the core then extension namespace."""
-        for ns in (SSD_NS, AUT_NS):
-            candidate = Iri(ns + local)
-            if candidate in self.classes:
-                return candidate
-        raise UnknownClassError(f"unknown class name: {local}")
 
 
 def core_taxonomy() -> Taxonomy:

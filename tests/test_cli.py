@@ -3,7 +3,9 @@ import json
 import pytest
 
 from conftest import FIXTURES, QUERIES
+from ssdkb import bench
 from ssdkb.cli import main
+from ssdkb.generate import GenProfile
 
 
 def fixture(name):
@@ -212,6 +214,18 @@ def test_bench_small_run(capsys):
         assert all(run[layer] > 0 for layer in BENCH_LAYERS)
         assert run["peak_rss_mb"] > 0
     assert list(report["growth"]) == BENCH_LAYERS
+
+
+def test_bench_reports_each_layers_median(monkeypatch):
+    """Each layer's figure is the median of three load chains, and the
+    queries answer on the last chain's kb."""
+    chains = iter([(dict.fromkeys(BENCH_LAYERS, t), f"kb{i}") for i, t in enumerate([1.0, 2.0, 9.0])])
+    monkeypatch.setattr(bench, "_load", lambda n, profile: next(chains))
+    last_kb = {"query.last": lambda kb: [kb] if kb == "kb2" else []}
+    run = bench.bench_size(7, GenProfile(seed=1), last_kb)
+    assert [run[layer] for layer in BENCH_LAYERS] == [2.0] * len(BENCH_LAYERS)
+    assert run["query.last"]["rows"] == 1
+    assert next(chains, None) is None
 
 
 def test_bench_with_query_dir(tmp_path, capsys):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import QUERIES, edited_queries, load_kb
+from conftest import FIXTURES, QUERIES, edited_queries, load_kb
+from ssdkb import vocab
 from ssdkb.classify import materialize_types
 from ssdkb.dlquery import (
     And,
@@ -24,7 +25,18 @@ from ssdkb.dlquery import (
 )
 from ssdkb.generate import GenProfile, generate_studies
 from ssdkb.kb import TripleIndex, empty_kb, graph_to_kb
-from ssdkb.terms import RDF_TYPE, Literal, aut, local_name, ssd
+from ssdkb.terms import (
+    AUT_NS,
+    DEFAULT_PREFIXES,
+    RDF_TYPE,
+    SSD_NS,
+    BlankNode,
+    Iri,
+    Literal,
+    aut,
+    local_name,
+    ssd,
+)
 from ssdkb.turtle import parse_turtle
 
 
@@ -483,3 +495,160 @@ def test_path_of_each_some_conjunct(name, paths):
     found = evaluator.eval(expr)
     assert [(some.prop, path) for some, path in evaluator.paths] == paths
     assert found == _REFERENCE(expr) != set()
+
+
+# --- name resolution by role against the earlier one-rule resolution ---
+
+
+def reference_resolve(kb):
+    """The earlier rule, kept as it was but for its IRI set, which is built
+    here from `kb.all_triples()`: a bare name takes the first namespace,
+    core then extension, in which it is a class or a node of the kb,
+    whatever its role, and the core one if neither; only then is the role
+    checked. Returns `resolve(name, role)`."""
+    triples = kb.all_triples()
+    individuals = {term.value for t in triples for term in (t.subject, t.object) if isinstance(term, Iri)}
+    predicates = {t.predicate for t in triples}
+
+    def resolve_name(name):
+        if ":" in name:
+            prefix, local = name.split(":", 1)
+            ns = DEFAULT_PREFIXES.get(prefix)
+            return Iri(ns + local) if ns else None
+        core = None
+        for ns in (SSD_NS, AUT_NS):
+            candidate = ns + name
+            iri = Iri(candidate)
+            if kb.taxonomy.contains(iri) or candidate in individuals:
+                return iri
+            core = core or iri
+        # default to the core namespace for names the kb has not seen
+        return core
+
+    def resolve(name, role):
+        iri = resolve_name(name)
+        if role == "class" and (iri is None or not kb.taxonomy.contains(iri)):
+            raise DlEvalError(f"unknown class name: {name}")
+        if role == "property":
+            if iri is None:
+                raise DlEvalError(f"unknown property name: {name}")
+            if iri not in vocab.PROPERTIES and iri not in predicates:
+                raise DlEvalError(f"unknown property name: {name}")
+        if iri is None:
+            raise DlEvalError(f"unknown individual name: {name}")
+        return iri
+
+    return resolve
+
+
+_ROLES = ("class", "property", "individual")
+
+
+def _resolved(resolve, name, role):
+    """`resolve(name, role)`, or the message of the DlEvalError it raises."""
+    try:
+        return resolve(name, role)
+    except DlEvalError as error:
+        return str(error)
+
+
+def _evaluator_resolve(kb):
+    evaluator = DlEvaluator(kb)
+    return lambda name, role: getattr(evaluator, f"resolve_{role}")(name)
+
+
+_KBS = {"_CORPUS": _CORPUS, **{path.name: load_kb(path.name) for path in sorted(FIXTURES.glob("*.ttl"))}}
+
+
+def _names(kbs):
+    """The local and prefixed forms of every IRI of `kbs`, plus a name in no
+    kb and a name with an unknown prefix."""
+    found = {"nobody", "zz:q"}
+    for kb in kbs:
+        for t in kb.all_triples():
+            for term in t:
+                if not isinstance(term, Iri):
+                    continue
+                found.add(local_name(term))
+                for prefix, ns in DEFAULT_PREFIXES.items():
+                    if term.value.startswith(ns):
+                        found.add(f"{prefix}:{term.value[len(ns):]}")
+    return sorted(found)
+
+
+_NAMES = _names(_KBS.values())
+
+
+@pytest.mark.parametrize("kb_name", list(_KBS))
+def test_resolution_matches_reference(kb_name):
+    """Every (name, role) pair of the 200-study corpus and the fixtures
+    resolves to the same IRI, or raises the same message, as under the
+    earlier rule, in each of those kbs; the shadowed names that differ are
+    pinned by `test_resolution_by_role`."""
+    kb = _KBS[kb_name]
+    resolve, reference = _evaluator_resolve(kb), reference_resolve(kb)
+    differ = [
+        (name, role)
+        for name in _NAMES
+        for role in _ROLES
+        if _resolved(resolve, name, role) != _resolved(reference, name, role)
+    ]
+    assert differ == []
+
+
+_SHADOWS = "@prefix ssd: <%s> .\n@prefix aut: <%s> .\n" % (SSD_NS, AUT_NS)
+
+
+@pytest.mark.parametrize(
+    "turtle, name, role, expected, changed",
+    [
+        # a bare class whose core IRI is a node of the kb and whose extension
+        # IRI is a class
+        ("ssd:x ssd:hasOutcome ssd:CommunicationOutcome .", "CommunicationOutcome", "class",
+         aut("CommunicationOutcome"), True),
+        # a bare property that is a store predicate in the extension namespace only
+        ("ssd:x aut:hasTherapist ssd:y .", "hasTherapist", "property", aut("hasTherapist"), True),
+        # ... or in the core namespace only, while its extension IRI is a node
+        ("ssd:x ssd:hasTherapist aut:hasTherapist .", "hasTherapist", "property",
+         ssd("hasTherapist"), True),
+        # a bare property whose core IRI is a vocabulary property, while its
+        # extension IRI is both a node and a predicate of the kb
+        ("ssd:x aut:hasPhase aut:hasPhase .", "hasPhase", "property", ssd("hasPhase"), True),
+        # a node's name is no class and no property
+        ("ssd:x ssd:hasOutcome ssd:Nonexistent .", "Nonexistent", "class",
+         "unknown class name: Nonexistent", False),
+        ("ssd:x ssd:hasOutcome ssd:hasTherapist .", "hasTherapist", "property",
+         "unknown property name: hasTherapist", False),
+        # classes by local name, core namespace first
+        ("", "Result", "class", vocab.RESULT, False),
+        ("", "Peer-mediatedIntervention", "class", vocab.PEER_MEDIATED_INTERVENTION, False),
+        ("", "Nonexistent", "class", "unknown class name: Nonexistent", False),
+        # an individual is a class or a node in one namespace, or else the core IRI
+        ("", "Peer-mediatedIntervention", "individual", vocab.PEER_MEDIATED_INTERVENTION, False),
+        ("ssd:x ssd:hasTherapist aut:y .", "y", "individual", aut("y"), False),
+        ("ssd:x ssd:hasTherapist aut:y .", "z", "individual", ssd("z"), False),
+        ("ssd:x ssd:hasTherapist aut:y .", "hasTherapist", "individual", ssd("hasTherapist"), False),
+        # a prefixed name keeps its one IRI, and an unknown prefix is unknown
+        ("ssd:x ssd:hasTherapist aut:y .", "ssd:y", "individual", ssd("y"), False),
+        ("", "aut:Result", "class", "unknown class name: aut:Result", False),
+        ("", "zz:q", "individual", "unknown individual name: zz:q", False),
+        ("", "zz:q", "property", "unknown property name: zz:q", False),
+    ],
+)
+def test_resolution_by_role(turtle, name, role, expected, changed):
+    """How a name resolves in a kb of at most one triple, and whether the
+    earlier rule resolved it differently."""
+    kb = graph_to_kb(parse_turtle(_SHADOWS + turtle))
+    assert _resolved(_evaluator_resolve(kb), name, role) == expected
+    assert (_resolved(reference_resolve(kb), name, role) != expected) == changed
+
+
+def test_holds_matches_a_scan():
+    store = _CORPUS.store
+    nodes = {term for t in store.all for term in (t.subject, t.object)}
+    absent = [ssd("nobody"), aut("nobody"), BlankNode("nobody"), Literal("nobody", "string")]
+    terms = {term for t in store.all for term in t} | set(absent)
+    assert {BlankNode, Literal} <= {type(term) for term in nodes}
+    for term in terms:
+        assert store.holds(term) == (term in nodes), term
+    assert not any(map(store.holds, absent))

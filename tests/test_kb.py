@@ -112,6 +112,25 @@ def test_lift_takes_the_least_of_several_values(reverse):
     assert paul.condition == ssd("adhd")
 
 
+def test_phases_are_read_by_position_not_by_name():
+    # a study's and an MBD item's phases, named so that term order is the
+    # reverse of position order
+    text = (
+        "@prefix ssd: <http://bdi.si.ehu.es/bdi/ontologies/SSDOnt/SSDOnt#> .\n"
+        "ssd:s a ssd:AcrossSettingMBD ; ssd:hasPhase ssd:b ; ssd:hasPhase ssd:a ;"
+        " ssd:hasMBDItem ssd:i .\n"
+        "ssd:i a ssd:MBDItem ; ssd:hasPhase ssd:d ; ssd:hasPhase ssd:c .\n"
+        "ssd:a a ssd:SimpleInterventionPhase ; ssd:hasPosition 2 .\n"
+        "ssd:b a ssd:BaselinePhase ; ssd:hasPosition 1 .\n"
+        "ssd:c a ssd:SimpleInterventionPhase ; ssd:hasPosition 2 .\n"
+        "ssd:d a ssd:BaselinePhase ; ssd:hasPosition 1 .\n"
+    )
+    (study,) = graph_to_kb(parse_turtle(text)).studies
+    assert [ph.id for ph in study.phases] == [ssd("b"), ssd("a")]
+    (item,) = study.mbd_items
+    assert [ph.id for ph in item.phases] == [ssd("d"), ssd("c")]
+
+
 def test_kb_to_graph_asserted_only_until_materialized(fig3_kb):
     graph = kb_to_graph(fig3_kb)
     assert graph.triples == fig3_kb.graph.triples
@@ -135,7 +154,6 @@ def _tables(store):
         Counter(store.all),
         [{key: Counter(found) for key, found in table.items()} for table in lists],
         store.type_index,
-        store.individual_iris,
     )
 
 

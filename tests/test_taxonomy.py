@@ -93,13 +93,6 @@ def test_closure_matches_brute_force_oracle(core):
             assert core.is_subclass_of(a, b) == _brute_force_reachable(core, a, b), (a, b)
 
 
-def test_resolve_local_names(core):
-    assert core.resolve("Result") == vocab.RESULT
-    assert core.resolve("Peer-mediatedIntervention") == vocab.PEER_MEDIATED_INTERVENTION
-    with pytest.raises(UnknownClassError):
-        core.resolve("Nonexistent")
-
-
 def _chain(n: int):
     """Classes c0 .. c(n-1), each a subclass of the one before."""
     classes = [ssd(f"c{i}") for i in range(n)]
