@@ -207,7 +207,6 @@ class DlEvaluator:
         self.store = index = kb.store
         self.by_predicate = index.by_p
         self.by_po = index.by_po
-        self.by_sp = index.by_sp
         self.type_index = index.type_index
         self.paths: list[tuple[Some, str]] = []
 
@@ -375,7 +374,7 @@ class DlEvaluator:
         """Whether one individual is a member of `node`, evaluated top-down
         through the subject lookups; `any` and `all` stop at the first
         match or miss."""
-        kind, by_sp = node[0], self.by_sp
+        kind, by_sp = node[0], self.store.by_sp
         if kind == "set":
             return node[1].__contains__
         if kind == "and":

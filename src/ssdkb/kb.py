@@ -8,6 +8,7 @@ once the kb has been materialized. Unknown predicates survive untouched.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
 from operator import itemgetter
@@ -53,12 +54,37 @@ class SchemaError(Exception):
 NUMBER = {"integer": int, "decimal": Decimal}
 
 
+class _BuiltAtFirstRead:
+    """A store table that the decorated method builds, with the collector
+    paused, at the table's first read. The table is then set as a plain
+    attribute of the store. `functools.cached_property` would write it
+    into the instance `__dict__` instead, and on CPython 3.11 that makes
+    every later read of the store's other attributes about three times
+    slower. Each read of the table still passes this descriptor, so a loop
+    reads it into a local once."""
+
+    def __init__(self, build):
+        self.build = gc_paused()(build)
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, store, owner=None):
+        if store is None:
+            return self
+        table = self.build(store)
+        setattr(store, self.name, table)
+        return table
+
+
 class TripleIndex:
     """The triple store that every layer after the reader uses: the triples
     in `all` plus lookup tables over them. A store is not changed once
-    built; `extended` makes a new one. The query planners' tables, `stats`
-    and `numbers`, are built per predicate at their first call, so loading
-    a kb pays for neither."""
+    built; `extended` makes a new one. Only queries look triples up by
+    subject, so `by_sp` is built at the first such lookup, and the query
+    planners' tables, `stats` and `numbers`, per predicate at their first
+    call: loading a kb pays for none of them."""
 
     def __init__(self, triples):
         self._stats: dict[Iri | None, tuple[int, int, int]] = {}
@@ -66,33 +92,44 @@ class TripleIndex:
         self.all = list(triples)
         self.by_p: dict[Iri, list[Triple]] = {}
         self.by_po: dict[tuple, list[Triple]] = {}
-        self.by_sp: dict[tuple, list[Triple]] = {}
         self.type_index: dict[Iri, set[Term]] = {}
         for t in self.all:
             s, p, o = t
             self.by_p.setdefault(p, []).append(t)
             self.by_po.setdefault((p, o), []).append(t)
-            self.by_sp.setdefault((s, p), []).append(t)
             if p == RDF_TYPE and isinstance(o, Iri):
                 self.type_index.setdefault(o, set()).add(s)
+
+    @_BuiltAtFirstRead
+    def by_sp(self) -> dict[tuple, list[Triple]]:
+        """The triples by (subject, predicate), built at the first lookup."""
+        by_sp: dict[tuple, list[Triple]] = {}
+        for t in self.all:
+            s, p, _ = t
+            by_sp.setdefault((s, p), []).append(t)
+        return by_sp
 
     def extended(self, triples) -> "TripleIndex":
         """A store over this store's triples plus `triples`, none of which
         this store holds. Only the keys that `triples` touch are merged, into
-        copies of the tables, so this store stays as it was."""
+        copies of the tables, so this store stays as it was. `by_sp` is
+        merged only if this store has built it; otherwise the new store
+        builds its own at its first lookup."""
         added = TripleIndex(triples)
         store = TripleIndex(())
         store.all = self.all + added.all
         store.by_p = _joined(self.by_p, added.by_p, list.__add__)
         store.by_po = _joined(self.by_po, added.by_po, list.__add__)
-        store.by_sp = _joined(self.by_sp, added.by_sp, list.__add__)
+        if "by_sp" in vars(self):
+            store.by_sp = _joined(self.by_sp, added.by_sp, list.__add__)
         store.type_index = _joined(self.type_index, added.type_index, set.__or__)
         return store
 
     def holds(self, term: Term) -> bool:
         """Whether `term` is the subject or the object of a stored triple:
         one probe of `by_sp` and one of `by_po` per predicate."""
-        return any((term, p) in self.by_sp or (p, term) in self.by_po for p in self.by_p)
+        by_sp, by_po = self.by_sp, self.by_po
+        return any((term, p) in by_sp or (p, term) in by_po for p in self.by_p)
 
     def candidates(self, subject, predicate, obj) -> list[Triple]:
         """Triples matching the given constants (None = wildcard). The list
@@ -103,7 +140,8 @@ class TripleIndex:
             # one lookup per predicate of the store, not a scan of it
             if subject is None:
                 return [t for p in self.by_p for t in self.by_po.get((p, obj), ())]
-            found = [t for p in self.by_p for t in self.by_sp.get((subject, p), ())]
+            by_sp = self.by_sp
+            found = [t for p in self.by_p for t in by_sp.get((subject, p), ())]
             return found if obj is None else [t for t in found if t.object == obj]
         if subject is None:
             if obj is None:
@@ -111,21 +149,6 @@ class TripleIndex:
             return self.by_po.get((predicate, obj), [])
         found = self.by_sp.get((subject, predicate), [])
         return found if obj is None else [t for t in found if t.object == obj]
-
-    def objects(self, subject: Term, predicate: Iri) -> list[Term]:
-        """Objects of `subject`'s `predicate` triples, in term order."""
-        found = self.by_sp.get((subject, predicate), ())
-        if len(found) == 1:
-            return [found[0][2]]
-        return sorted(t[2] for t in found)
-
-    def one(self, subject: Term, predicate: Iri) -> Term | None:
-        """The least object of `subject`'s `predicate` triples in term order,
-        or None if there is none."""
-        found = self.by_sp.get((subject, predicate), ())
-        if len(found) == 1:
-            return found[0][2]
-        return min((t[2] for t in found), default=None)
 
     def stats(self, predicate: Iri | None) -> tuple[int, int, int]:
         """The number of triples, distinct subjects and distinct objects of
@@ -216,57 +239,75 @@ def _require_decimal(value: Term | None, subject: Term, what: str) -> Decimal | 
         raise SchemaError(f"{what} is not a finite number: {value}", subject)
 
 
-def _read_age(store: TripleIndex, node: Term | None) -> AgeDescription | None:
+def _one(rows: list[Triple], predicate: Iri) -> Term | None:
+    """The least object of `predicate` among a node's triples `rows` in
+    term order, or None if there is none."""
+    found = None
+    for _, p, o in rows:
+        if p == predicate and (found is None or o < found):
+            found = o
+    return found
+
+
+def _objects(rows: list[Triple], predicate: Iri) -> list[Term]:
+    """The objects of `predicate` among a node's triples `rows`, in term order."""
+    return sorted([o for _, p, o in rows if p == predicate])
+
+
+def _read_age(node: Term | None, rows: list[Triple]) -> AgeDescription | None:
     if node is None:
         return None
-    years = _require_int(store.one(node, vocab.YEARS), node, "years")
-    months = _require_int(store.one(node, vocab.MONTHS), node, "months")
+    years = _require_int(_one(rows, vocab.YEARS), node, "years")
+    months = _require_int(_one(rows, vocab.MONTHS), node, "months")
     if years is None:
         raise SchemaError("age description lacks a years value", node)
     return AgeDescription(years=years, months=months)
 
 
-def _read_participant(store: TripleIndex, node: Term) -> Participant:
+def _read_participant(node: Term, rows: list[Triple], by_s: defaultdict) -> Participant:
+    age = _one(rows, vocab.HAS_AGE)
+    diagnosed = _one(rows, vocab.DIAGNOSED_AT_AGE)
     return Participant(
         id=node,
-        condition=store.one(node, vocab.HAS_CONDITION),
-        gender=store.one(node, vocab.HAS_GENDER),
-        age=_read_age(store, store.one(node, vocab.HAS_AGE)),
-        diagnosed_at_age=_read_age(store, store.one(node, vocab.DIAGNOSED_AT_AGE)),
+        condition=_one(rows, vocab.HAS_CONDITION),
+        gender=_one(rows, vocab.HAS_GENDER),
+        age=_read_age(age, by_s[age]),
+        diagnosed_at_age=_read_age(diagnosed, by_s[diagnosed]),
     )
 
 
-def _read_phase(store: TripleIndex, node: Term) -> Phase:
+def _read_phase(node: Term, rows: list[Triple]) -> Phase:
     kind: PhaseKind | None = None
-    for typ in store.objects(node, RDF_TYPE):
+    for typ in _objects(rows, RDF_TYPE):
         if isinstance(typ, Iri) and typ in PHASE_CLASS_TO_KIND:
             kind = PHASE_CLASS_TO_KIND[typ]
         elif isinstance(typ, Iri) and typ == vocab.INTERVENTION_PHASE:
             kind = kind or PhaseKind.SIMPLE_INTERVENTION
     if kind is None:
         raise SchemaError("phase node has no recognized phase type", node)
-    position = _require_int(store.one(node, vocab.HAS_POSITION), node, "hasPosition")
+    position = _require_int(_one(rows, vocab.HAS_POSITION), node, "hasPosition")
     if position is None:
         raise SchemaError("phase lacks a hasPosition value", node)
     return Phase(
         id=node,
         kind=kind,
         position=position,
-        intervention_types=tuple(store.objects(node, vocab.HAS_INTERVENTION_TYPE)),
+        intervention_types=tuple(_objects(rows, vocab.HAS_INTERVENTION_TYPE)),
     )
 
 
-def _read_result(store: TripleIndex, node: Term) -> Result:
-    value = _require_decimal(store.one(node, vocab.HAS_VALUE), node, "hasValue")
+def _read_result(node: Term, rows: list[Triple], by_s: defaultdict) -> Result:
+    value = _require_decimal(_one(rows, vocab.HAS_VALUE), node, "hasValue")
     if value is None:
         raise SchemaError("result lacks a hasValue", node)
-    instant_node = store.one(node, vocab.OCCURS_IN)
+    instant_node = _one(rows, vocab.OCCURS_IN)
     if instant_node is None:
         raise SchemaError("result lacks an occursIn instant", node)
-    instant = _require_int(store.one(instant_node, vocab.HAS_VALUE), instant_node, "instant hasValue")
+    instant_value = _one(by_s[instant_node], vocab.HAS_VALUE)
+    instant = _require_int(instant_value, instant_node, "instant hasValue")
     if instant is None:
         raise SchemaError("instant lacks a hasValue", instant_node)
-    phase_ref = store.one(node, vocab.IS_RESULT_OF_PHASE)
+    phase_ref = _one(rows, vocab.IS_RESULT_OF_PHASE)
     if phase_ref is None:
         raise SchemaError("result lacks isResultOfPhase", node)
     return Result(
@@ -274,14 +315,14 @@ def _read_result(store: TripleIndex, node: Term) -> Result:
         value=value,
         instant=instant,
         phase_ref=phase_ref,
-        intervention_type=store.one(node, vocab.HAS_INTERVENTION_TYPE),
+        intervention_type=_one(rows, vocab.HAS_INTERVENTION_TYPE),
     )
 
 
-def _asserted_design(store: TripleIndex, node: Term, taxonomy: Taxonomy) -> Iri | None:
+def _asserted_design(rows: list[Triple], taxonomy: Taxonomy) -> Iri | None:
     designs = [
         t
-        for t in store.objects(node, RDF_TYPE)
+        for t in _objects(rows, RDF_TYPE)
         if isinstance(t, Iri)
         and taxonomy.contains(t)
         and taxonomy.is_subclass_of(t, vocab.SINGLE_SUBJECT_DESIGN)
@@ -297,10 +338,14 @@ def _asserted_design(store: TripleIndex, node: Term, taxonomy: Taxonomy) -> Iri 
 def graph_to_kb(graph: TripleGraph, taxonomy: Taxonomy | None = None) -> KnowledgeBase:
     """Lift a triple graph to typed studies. Raises SchemaError on type
     clashes and dangling references; structural problems beyond that are
-    left for validate_study."""
+    left for validate_study. Each node is read from its own triples,
+    grouped by subject for this call only, so the kb keeps no such table."""
     taxonomy = taxonomy or core_taxonomy()
     store = TripleIndex(graph.triples)
     typed = store.type_index
+    by_s: defaultdict[Term, list[Triple]] = defaultdict(list)
+    for t in store.all:
+        by_s[t[0]].append(t)
 
     study_nodes = sorted(
         {
@@ -316,18 +361,18 @@ def graph_to_kb(graph: TripleGraph, taxonomy: Taxonomy | None = None) -> Knowled
 
     def phase_of(node: Term) -> Phase:
         if node not in phase_cache:
-            phase_cache[node] = _read_phase(store, node)
+            phase_cache[node] = _read_phase(node, by_s[node])
         return phase_cache[node]
 
-    def phases_of(owner: Term) -> tuple[Phase, ...]:
+    def phases_of(rows: list[Triple]) -> tuple[Phase, ...]:
         """The phases of a study or an MBD item, by position."""
-        phases = (phase_of(p) for p in store.objects(owner, vocab.HAS_PHASE))
+        phases = (phase_of(p) for p in _objects(rows, vocab.HAS_PHASE))
         return tuple(sorted(phases, key=lambda ph: ph.position))
 
     # results grouped by the phase they reference
     results_by_phase: dict[Term, list[Result]] = {}
     for node in typed.get(vocab.RESULT, ()):
-        result = _read_result(store, node)
+        result = _read_result(node, by_s[node], by_s)
         results_by_phase.setdefault(result.phase_ref, []).append(result)
 
     phase_nodes = set().union(*(typed.get(cls, ()) for cls in PHASE_CLASS_TO_KIND))
@@ -337,22 +382,23 @@ def graph_to_kb(graph: TripleGraph, taxonomy: Taxonomy | None = None) -> Knowled
 
     studies = []
     for node in study_nodes:
+        rows = by_s[node]
         participants = tuple(
-            _read_participant(store, p) for p in store.objects(node, vocab.HAS_PARTICIPANT)
+            _read_participant(p, by_s[p], by_s) for p in _objects(rows, vocab.HAS_PARTICIPANT)
         )
-        outcomes = tuple(store.objects(node, vocab.HAS_OUTCOME))
-        phases = phases_of(node)
+        outcomes = tuple(_objects(rows, vocab.HAS_OUTCOME))
+        phases = phases_of(rows)
         items = [
             MBDItem(
-                id=item_node,
-                subject=store.one(item_node, vocab.HAS_PARTICIPANT),
-                setting=store.one(item_node, vocab.HAS_SETTING),
-                outcome=store.one(item_node, vocab.HAS_OUTCOME),
-                phases=phases_of(item_node),
+                id=item,
+                subject=_one(by_s[item], vocab.HAS_PARTICIPANT),
+                setting=_one(by_s[item], vocab.HAS_SETTING),
+                outcome=_one(by_s[item], vocab.HAS_OUTCOME),
+                phases=phases_of(by_s[item]),
             )
-            for item_node in store.objects(node, vocab.HAS_MBD_ITEM)
+            for item in _objects(rows, vocab.HAS_MBD_ITEM)
         ]
-        item_type = store.one(node, vocab.HAS_MBD_ITEM_TYPE)
+        item_type = _one(rows, vocab.HAS_MBD_ITEM_TYPE)
         if item_type is not None and not isinstance(item_type, Iri):
             raise SchemaError("hasMBDItemType must name a class", node)
         results = tuple(
@@ -374,7 +420,7 @@ def graph_to_kb(graph: TripleGraph, taxonomy: Taxonomy | None = None) -> Knowled
                 mbd_items=tuple(items),
                 mbd_item_type=item_type,
                 results=results,
-                asserted_class=_asserted_design(store, node, taxonomy),
+                asserted_class=_asserted_design(rows, taxonomy),
             )
         )
     return KnowledgeBase(graph=graph, taxonomy=taxonomy, store=store, studies=tuple(studies))
@@ -476,12 +522,13 @@ class KbStats:
 def kb_stats(kb: KnowledgeBase) -> KbStats:
     """Exact counts over the kb's asserted and inferred triples.
     Individuals are IRI/blank nodes occurring in individual positions:
-    subjects, plus non-class objects of non-type triples. Both are read from
-    the store's keys, which hold each (subject, predicate) and (predicate,
-    object) pair once."""
+    subjects, plus non-class objects of non-type triples. Each kind test
+    runs once per distinct subject, and once per key of `by_po`, which
+    holds each (predicate, object) pair once."""
     store = kb.store
     is_class = kb.taxonomy.contains
-    individuals = {s for s, _ in store.by_sp if isinstance(s, (Iri, BlankNode))}
+    subjects = set(map(itemgetter(0), store.all))
+    individuals = {s for s in subjects if isinstance(s, (Iri, BlankNode))}
     individuals.update(
         o
         for p, o in store.by_po

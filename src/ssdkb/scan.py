@@ -21,7 +21,8 @@ from typing import Iterable
 # whitespace and `#` comments
 SKIP = r"(?:\s+|#[^\n]*)*"
 IRIREF = r"<[^<>\s]*>"
-STRING = r'"(?:[^"\\]|\\.)*"'
+# no raw line break inside "…", as in W3C Turtle and SPARQL
+STRING = r'"(?:[^"\\\n\r]|\\.)*"'
 DECIMAL = r"[+-]?[0-9]+\.[0-9]+"
 INTEGER = r"[+-]?[0-9]+"
 

@@ -197,7 +197,8 @@ def test_stats_fig3(capsys):
 
 BENCH_LAYERS = [
     "generate.graph_s", "turtle.serialize_s", "turtle.parse_s", "kb.lift_s",
-    "model.validate_s", "classify.materialize_s", "kb.stats_s", "gc.collect_s",
+    "model.validate_s", "classify.materialize_s", "kb.stats_s", "kb.index_build_s",
+    "gc.collect_s",
 ]
 
 

@@ -1,12 +1,13 @@
 from collections import Counter
 from decimal import Decimal
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import FIXTURES, load_graph, load_kb
 from ssdkb import vocab
 from ssdkb.classify import materialize_types
-from ssdkb.generate import GenProfile, generate_studies
+from ssdkb.generate import GenProfile, generate_graph, generate_studies
 from ssdkb.kb import (
     KbStats,
     SchemaError,
@@ -105,8 +106,6 @@ def test_lift_takes_the_least_of_several_values(reverse):
     store = TripleIndex(graph.triples)
     values = [t.object for t in store.by_sp[ssd("paul"), vocab.HAS_CONDITION]]
     assert values == ([ssd("autism"), ssd("adhd")] if reverse else [ssd("adhd"), ssd("autism")])
-    assert store.one(ssd("paul"), vocab.HAS_CONDITION) == ssd("adhd")
-    assert store.objects(ssd("paul"), vocab.HAS_CONDITION) == [ssd("adhd"), ssd("autism")]
     (study,) = graph_to_kb(graph).studies
     (paul,) = study.participants
     assert paul.condition == ssd("adhd")
@@ -171,6 +170,47 @@ def test_materialize_extends_the_store_and_leaves_the_parent():
     assert _tables(mat.store) == _tables(TripleIndex(union))
     assert mat.index() is mat.store
     assert _tables(materialize_types(mat).store) == _tables(mat.store)
+
+
+def reference_store(triples):
+    """A store's tables as `TripleIndex.__init__` built all of them before
+    `by_sp` was deferred: one pass over the triples."""
+    store = SimpleNamespace(all=list(triples), by_p={}, by_po={}, by_sp={}, type_index={})
+    for t in store.all:
+        s, p, o = t
+        store.by_p.setdefault(p, []).append(t)
+        store.by_po.setdefault((p, o), []).append(t)
+        store.by_sp.setdefault((s, p), []).append(t)
+        if p == RDF_TYPE and isinstance(o, Iri):
+            store.type_index.setdefault(o, set()).add(s)
+    return store
+
+
+def test_loading_builds_no_subject_table():
+    kb = graph_to_kb(generate_graph(20, GenProfile(seed=4)))
+    assert validate_kb(kb) == []
+    mat = materialize_types(kb)
+    kb_stats(kb)
+    kb_stats(mat)
+    assert "by_sp" not in vars(kb.store)
+    assert "by_sp" not in vars(mat.store)
+
+
+@pytest.mark.parametrize("parent_first", [True, False])
+def test_subject_table_built_at_first_lookup_matches_an_eager_build(parent_first):
+    # the parent's `by_sp` built before `extended` is merged into the new
+    # store; built after, the new store builds its own from `all`
+    graph = generate_graph(30, GenProfile(seed=3))
+    kb = graph_to_kb(graph)
+    if parent_first:
+        assert _tables(kb.store) == _tables(reference_store(graph.triples))
+    mat = materialize_types(kb)
+    assert ("by_sp" in vars(mat.store)) is parent_first
+    assert _tables(kb.store) == _tables(reference_store(graph.triples))
+    union = graph.triples | mat.inferred
+    assert _tables(mat.store) == _tables(reference_store(union))
+    again = materialize_types(mat)
+    assert _tables(again.store) == _tables(reference_store(union | again.inferred))
 
 
 _NUMBERS_TTL = """@prefix ex: <http://e.org/#> .

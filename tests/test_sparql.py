@@ -96,6 +96,8 @@ _Q = "SELECT ?x WHERE { ?x <http://e.org/p> ?y }"
         (_Q + " LIMIT nope", "LIMIT needs a positive integer, found 'nope'", 49),
         # terms
         ('SELECT ?x WHERE { ?x <http://e.org/p> "\\q" }', "bad string escape", 38),
+        # as in SPARQL's STRING_LITERAL2, no raw line break inside "…"
+        ('SELECT ?x WHERE { ?x <http://e.org/p> "a\nb" }', "unknown token near ' \"a\\nb\" }'", 37),
         ("SELECT ?x WHERE { ?x nope:p ?y }", "unresolved prefix 'nope'", 21),
         ("SELECT ?x WHERE { bare a ?y }", "bare name 'bare' is not a term", 18),
         ("SELECT ?x WHERE { ?x 5 ?y }", "predicate must be an IRI, found '5'", 21),
