@@ -112,16 +112,13 @@ class TripleIndex:
     def extended(self, triples) -> "TripleIndex":
         """A store over this store's triples plus `triples`, none of which
         this store holds. Only the keys that `triples` touch are merged, into
-        copies of the tables, so this store stays as it was. `by_sp` is
-        merged only if this store has built it; otherwise the new store
-        builds its own at its first lookup."""
+        copies of the tables, so this store stays as it was. The new store
+        builds its own `by_sp` at its first lookup."""
         added = TripleIndex(triples)
         store = TripleIndex(())
         store.all = self.all + added.all
         store.by_p = _joined(self.by_p, added.by_p, list.__add__)
         store.by_po = _joined(self.by_po, added.by_po, list.__add__)
-        if "by_sp" in vars(self):
-            store.by_sp = _joined(self.by_sp, added.by_sp, list.__add__)
         store.type_index = _joined(self.type_index, added.type_index, set.__or__)
         return store
 

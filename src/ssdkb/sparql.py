@@ -274,6 +274,19 @@ class _Step:
                 if first != j:
                     self.repeats.append((first, j))
         self.pick = _tuple_getter(list(self.new.values()))
+        # every row binds the subject and the predicate: a `by_sp` lookup
+        self.keyed = all(not isinstance(t, Var) or t.name in column for t in slots[:2])
+
+
+def _keyed_candidates(by_sp: dict):
+    """`TripleIndex.candidates` for a given subject and predicate, over the
+    store's `by_sp` read once, not once per call."""
+
+    def candidates(subject, predicate, obj):
+        found = by_sp.get((subject, predicate), ())
+        return found if obj is None else [t for t in found if t[2] == obj]
+
+    return candidates
 
 
 def _tuple_getter(places: list[int]):
@@ -347,10 +360,11 @@ def join(
         # `candidates` matched the constants and the bound variables, so a
         # row only takes the new variables' values
         get, terms, pick, repeats = step.get, step.terms, step.pick, step.repeats
+        candidates = _keyed_candidates(index.by_sp) if step.keyed else index.candidates
         rows = [
             row + pick(t)
             for row in rows
-            for t in index.candidates(*get(row + terms))
+            for t in candidates(*get(row + terms))
             if not repeats or all(t[i] == t[j] for i, j in repeats)
         ]
         for name in step.new:

@@ -198,14 +198,13 @@ def test_loading_builds_no_subject_table():
 
 @pytest.mark.parametrize("parent_first", [True, False])
 def test_subject_table_built_at_first_lookup_matches_an_eager_build(parent_first):
-    # the parent's `by_sp` built before `extended` is merged into the new
-    # store; built after, the new store builds its own from `all`
+    # the parent's `by_sp` built before or after `extended`: either way the
+    # new store builds its own from `all`
     graph = generate_graph(30, GenProfile(seed=3))
     kb = graph_to_kb(graph)
     if parent_first:
         assert _tables(kb.store) == _tables(reference_store(graph.triples))
     mat = materialize_types(kb)
-    assert ("by_sp" in vars(mat.store)) is parent_first
     assert _tables(kb.store) == _tables(reference_store(graph.triples))
     union = graph.triples | mat.inferred
     assert _tables(mat.store) == _tables(reference_store(union))

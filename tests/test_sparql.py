@@ -476,6 +476,8 @@ def _ex(name):
             [("label", "x"), ("p", "a"), ("p", "b"), ("score", "2")],
         ),
         ("SELECT ?s WHERE { ?s ?p ex:b }", [("a",)]),
+        # a predicate bound by an earlier pattern, then looked up by subject
+        ("SELECT ?p ?o WHERE { ex:a ?p ex:b . ex:a ?p ?o }", [("p", "a"), ("p", "b")]),
         # a variable bound to a literal, then reused
         ("SELECT ?y WHERE { ex:c ex:label ?l . ?y ex:label ?l }", [("a",), ("c",)]),
         ("SELECT ?s ?t WHERE { ?s ex:score ?v . ?t ex:score ?v . ?s ex:p ?t }", [("a", "a"), ("a", "b")]),
