@@ -2,16 +2,20 @@
 generated corpora of the given sizes, and report it as one JSON document.
 
 Each size's load chain runs three times and each layer reports its
-median, so that one slow sample does not set a growth ratio; the queries
-run on the last chain's kb. The layer names are those of BENCHMARK.json.
+median, so that one slow sample does not set a growth ratio. The chains
+run in rounds, each round over every size, so that a change in the
+machine's speed reaches every size alike rather than landing in a growth
+ratio whole. The layer names are those of BENCHMARK.json.
 `classify.materialize_s` includes the validation pass that
 `materialize_types` runs itself. `kb.index_build_s` is the store's
 subject table, which no load layer builds: the first query that looks a
 subject up would pay for it.
 `gc.collect_s` is one full collection after the load: without it, the
 first older-generation scan of the fresh kb's containers is charged to
-whichever query happens to trigger it. `peak_rss_mb` is the process's
-high-water mark so far, so the sizes run in ascending order.
+whichever query happens to trigger it. Each size's queries run on its
+first-round kb, and its `peak_rss_mb`, the process's high-water mark so
+far, is read right after them; so the first round runs the sizes in
+ascending order.
 """
 
 from __future__ import annotations
@@ -88,26 +92,43 @@ def _load(n: int, profile: GenProfile) -> tuple[dict, KnowledgeBase]:
     return out, kb
 
 
-def bench_size(n: int, profile: GenProfile, queries: dict) -> dict:
-    """Every layer's median seconds over `LOAD_RUNS` load chains, every
-    query's timings on the last chain's kb, and the peak RSS, on corpora
-    of `n` studies."""
-    chains = []
-    for _ in range(LOAD_RUNS):
-        kb = None  # the last chain's kb goes before the next is built
-        layers, kb = _load(n, profile)
-        chains.append(layers)
-    out = {layer: statistics.median(c[layer] for c in chains) for layer in LAYERS}
+def _answers(kb: KnowledgeBase, queries: dict) -> dict:
+    """Every query's cold and warm milliseconds and its rows on `kb`."""
+    out = {}
     for name, run in queries.items():
         cold, rows = _ms(run, kb)
         warm = statistics.median(_ms(run, kb)[0] for _ in range(WARM_RUNS))
         out[name] = {"cold_ms": cold, "warm_ms": warm, "rows": len(rows)}
-    out["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     return out
 
 
+def bench_sizes(sizes: list[int], profile: GenProfile, queries: dict) -> dict:
+    """Per size, as a string: every layer's median seconds over `LOAD_RUNS`
+    load chains, every query's timings on the size's first kb, and the peak
+    RSS after them. Each round runs one chain per size, in the order given."""
+    chains: dict[int, list[dict]] = {n: [] for n in sizes}
+    answers = {}
+    for i in range(LOAD_RUNS):
+        for n in sizes:
+            kb = None  # the previous chain's kb goes before the next is built
+            layers, kb = _load(n, profile)
+            chains[n].append(layers)
+            if i == 0:
+                answers[n] = _answers(kb, queries)
+                answers[n]["peak_rss_mb"] = round(
+                    resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
+                )
+    return {
+        str(n): {
+            **{layer: statistics.median(c[layer] for c in chains[n]) for layer in LAYERS},
+            **answers[n],
+        }
+        for n in sizes
+    }
+
+
 def run_bench(sizes: list[int], profile: GenProfile, queries: dict) -> dict:
-    """The report: `bench_size` for each size, smallest first."""
+    """The report: `bench_sizes` over the sizes, smallest first."""
     sizes = sorted(set(sizes))
     report = {
         "schema": 1,
@@ -115,7 +136,7 @@ def run_bench(sizes: list[int], profile: GenProfile, queries: dict) -> dict:
         "machine": platform.platform(),
         "seed": profile.seed,
         "sizes": sizes,
-        "runs": {str(n): bench_size(n, profile, queries) for n in sizes},
+        "runs": bench_sizes(sizes, profile, queries),
     }
     if len(sizes) > 1:
         first, last = report["runs"][str(sizes[0])], report["runs"][str(sizes[-1])]

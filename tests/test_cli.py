@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -218,15 +219,29 @@ def test_bench_small_run(capsys):
 
 
 def test_bench_reports_each_layers_median(monkeypatch):
-    """Each layer's figure is the median of three load chains, and the
-    queries answer on the last chain's kb."""
-    chains = iter([(dict.fromkeys(BENCH_LAYERS, t), f"kb{i}") for i, t in enumerate([1.0, 2.0, 9.0])])
-    monkeypatch.setattr(bench, "_load", lambda n, profile: next(chains))
-    last_kb = {"query.last": lambda kb: [kb] if kb == "kb2" else []}
-    run = bench.bench_size(7, GenProfile(seed=1), last_kb)
-    assert [run[layer] for layer in BENCH_LAYERS] == [2.0] * len(BENCH_LAYERS)
-    assert run["query.last"]["rows"] == 1
-    assert next(chains, None) is None
+    """Each layer's figure is the median of three load chains, run round by
+    round over the sizes. Each size's queries answer on its first chain's
+    kb, and its peak RSS is read right after them."""
+    loads = []
+    times = {3: [5.0, 4.0, 1.0], 7: [1.0, 2.0, 9.0]}
+
+    def load(n, profile):
+        loads.append(n)
+        i = loads.count(n) - 1
+        return dict.fromkeys(BENCH_LAYERS, times[n][i]), (n, i)
+
+    monkeypatch.setattr(bench, "_load", load)
+    # the high-water mark counts the chains run so far
+    monkeypatch.setattr(
+        bench.resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=1024 * len(loads))
+    )
+    first_kb = {"query.first": lambda kb: [kb] if kb[1] == 0 else []}
+    runs = bench.bench_sizes([3, 7], GenProfile(seed=1), first_kb)
+    assert loads == [3, 7, 3, 7, 3, 7]
+    assert [runs["3"][layer] for layer in BENCH_LAYERS] == [4.0] * len(BENCH_LAYERS)
+    assert [runs["7"][layer] for layer in BENCH_LAYERS] == [2.0] * len(BENCH_LAYERS)
+    assert runs["3"]["query.first"]["rows"] == runs["7"]["query.first"]["rows"] == 1
+    assert (runs["3"]["peak_rss_mb"], runs["7"]["peak_rss_mb"]) == (1.0, 2.0)
 
 
 def test_bench_with_query_dir(tmp_path, capsys):

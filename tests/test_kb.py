@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from decimal import Decimal
 from types import SimpleNamespace
@@ -98,17 +99,47 @@ def test_unknown_predicates_survive(fig3_kb):
 @pytest.mark.parametrize("reverse", [False, True])
 def test_lift_takes_the_least_of_several_values(reverse):
     # `hasCondition` is single-valued. With two values the lift takes the
-    # least in term order, whichever the store meets first: the graph's
-    # triples go in as a list, so the store meets them in its order.
+    # least in term order, in whichever order the graph's triples come:
+    # they go in as a list, and the store puts them in term order.
     graph = load_graph("fig3.ttl")
     triples = graph.triples | {Triple(ssd("paul"), vocab.HAS_CONDITION, ssd("adhd"))}
     graph.triples = sorted(triples, reverse=reverse)
-    store = TripleIndex(graph.triples)
-    values = [t.object for t in store.by_sp[ssd("paul"), vocab.HAS_CONDITION]]
-    assert values == ([ssd("autism"), ssd("adhd")] if reverse else [ssd("adhd"), ssd("autism")])
-    (study,) = graph_to_kb(graph).studies
+    kb = graph_to_kb(graph)
+    values = [t.object for t in kb.store.by_sp[ssd("paul"), vocab.HAS_CONDITION]]
+    assert values == [ssd("adhd"), ssd("autism")]
+    (study,) = kb.studies
     (paul,) = study.participants
     assert paul.condition == ssd("adhd")
+
+
+def _lists(store):
+    return [found for table in (store.by_p, store.by_po, store.by_sp) for found in table.values()]
+
+
+@pytest.mark.parametrize("shuffled", [True, False])
+def test_lift_builds_the_store_in_term_order(shuffled):
+    # the graph's triples come as a list, shuffled or in reverse term order
+    graph = generate_graph(30, GenProfile(seed=5))
+    graph.triples = sorted(graph.triples, reverse=True)
+    if shuffled:
+        random.Random(5).shuffle(graph.triples)
+    store = graph_to_kb(graph).store
+    assert Counter(store.all) == Counter(graph.triples)
+    assert store.all == sorted(store.all)
+    assert all(found == sorted(found) for found in _lists(store))
+
+
+def test_materialized_store_appends_its_triples_in_term_order():
+    kb = graph_to_kb(generate_graph(30, GenProfile(seed=5)))
+    mat = materialize_types(kb)
+    assert all(found == sorted(found) for found in mat.store.by_sp.values())
+    # each list of `by_p` and `by_po`: the parent's run, then the added run
+    for table, parent in ((mat.store.by_p, kb.store.by_p), (mat.store.by_po, kb.store.by_po)):
+        for key, found in table.items():
+            old = parent.get(key, [])
+            added = found[len(old):]
+            assert found[: len(old)] == old == sorted(old)
+            assert added == sorted(added) and set(added) <= mat.inferred
 
 
 def test_phases_are_read_by_position_not_by_name():

@@ -433,6 +433,15 @@ def test_join_order_and_rows_after_each_step(name, order, rows):
     assert eval_sparql(query, _SMALL).rows == reference_eval_sparql(query, _SMALL).rows
 
 
+def test_type_listing_rows_leave_the_join_sorted():
+    # the store keeps its lists in term order, so the join emits the rows
+    # of this query in the order that `eval_sparql`'s final sort wants
+    query = parse_sparql((QUERIES / "cq_type_of_study.rq").read_text())
+    _, rows = join(join_order(query.patterns, _SMALL.store), _SMALL.store)
+    assert len(rows) == 578
+    assert rows == sorted(rows)
+
+
 def test_best_result_joins_no_cross_product():
     query = parse_sparql(BEST_RESULT)
     (outcome,) = [p for p in query.patterns if p.predicate == ssd("hasOutcome")]
