@@ -68,10 +68,15 @@ def _timed(out: dict, layer: str, fn, *args):
     return result
 
 
-def _ms(run, kb) -> tuple[float, list]:
-    start = time.perf_counter()
-    rows = run(kb)
-    return round((time.perf_counter() - start) * 1000.0, 3), rows
+def _answer(run, kb: KnowledgeBase) -> dict:
+    """One query's first run, the median of the next `WARM_RUNS`, in
+    milliseconds, and its rows."""
+    ms = []
+    for _ in range(WARM_RUNS + 1):
+        start = time.perf_counter()
+        rows = run(kb)
+        ms.append(round((time.perf_counter() - start) * 1000.0, 3))
+    return {"cold_ms": ms[0], "warm_ms": statistics.median(ms[1:]), "rows": len(rows)}
 
 
 def _load(n: int, profile: GenProfile) -> tuple[dict, KnowledgeBase]:
@@ -92,16 +97,6 @@ def _load(n: int, profile: GenProfile) -> tuple[dict, KnowledgeBase]:
     return out, kb
 
 
-def _answers(kb: KnowledgeBase, queries: dict) -> dict:
-    """Every query's cold and warm milliseconds and its rows on `kb`."""
-    out = {}
-    for name, run in queries.items():
-        cold, rows = _ms(run, kb)
-        warm = statistics.median(_ms(run, kb)[0] for _ in range(WARM_RUNS))
-        out[name] = {"cold_ms": cold, "warm_ms": warm, "rows": len(rows)}
-    return out
-
-
 def bench_sizes(sizes: list[int], profile: GenProfile, queries: dict) -> dict:
     """Per size, as a string: every layer's median seconds over `LOAD_RUNS`
     load chains, every query's timings on the size's first kb, and the peak
@@ -114,7 +109,7 @@ def bench_sizes(sizes: list[int], profile: GenProfile, queries: dict) -> dict:
             layers, kb = _load(n, profile)
             chains[n].append(layers)
             if i == 0:
-                answers[n] = _answers(kb, queries)
+                answers[n] = {name: _answer(run, kb) for name, run in queries.items()}
                 answers[n]["peak_rss_mb"] = round(
                     resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
                 )

@@ -87,13 +87,12 @@ class TripleIndex:
     planners' tables, `stats` and `numbers`, per predicate at their first
     call: loading a kb pays for none of them.
 
-    Each table's lists keep the order of `all`, which is the order given.
-    `graph_to_kb` gives the triples in term order, and `extended` appends
-    its own triples in term order, so every list of `by_p` and `by_po` is
-    one sorted run, or two after an extension; `by_sp` sorts its few
-    lists of two or more triples. A join over these lists then emits its
-    rows nearly sorted, and the final sort of `eval_sparql` is about one
-    linear pass. The order never changes an answer, only its speed."""
+    The lists keep the order of `all`, which is the order given:
+    `graph_to_kb` gives term order and `extended` appends its triples in
+    term order, so each list of `by_p` and `by_po` is one or two sorted
+    runs, and `by_sp` sorts its lists. A join then emits rows nearly in
+    the order `eval_sparql` sorts them into. Order changes speed, never an
+    answer."""
 
     def __init__(self, triples):
         self._stats: dict[Iri | None, tuple[int, int, int]] = {}
@@ -354,19 +353,18 @@ def graph_to_kb(graph: TripleGraph, taxonomy: Taxonomy | None = None) -> Knowled
     """Lift a triple graph to typed studies. Raises SchemaError on type
     clashes and dangling references; structural problems beyond that are
     left for validate_study. Each node is read from its own triples,
-    grouped by subject for this call only, so the kb keeps no such table.
-    The store takes the groups in subject order, so its triples are in
-    term order."""
+    grouped by subject for this call only, so the kb keeps no such table."""
     taxonomy = taxonomy or core_taxonomy()
     by_s: defaultdict[Term, list[Triple]] = defaultdict(list)
     for t in graph.triples:
         by_s[t[0]].append(t)
     for rows in by_s.values():
         rows.sort()
-    # (kind, text) by two sorts on plain keys, cheaper than comparing the
-    # terms: term order for IRIs and blank nodes. A literal subject (only
-    # `TripleGraph.add` makes one) lands outside term order, which slows
-    # a query down but changes no answer.
+    # the store takes the sorted groups in (kind, text) order of their
+    # subjects, which is term order for IRIs and blank nodes; two sorts on
+    # plain keys cost less than comparing terms. A literal subject (only
+    # `TripleGraph.add` makes one) lands outside term order, which can slow
+    # a query but changes no answer.
     subjects = sorted(by_s, key=itemgetter(1))
     subjects.sort(key=itemgetter(0))
     store = TripleIndex(chain.from_iterable(map(by_s.__getitem__, subjects)))
