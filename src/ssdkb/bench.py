@@ -7,15 +7,17 @@ run in rounds, each round over every size, so that a change in the
 machine's speed reaches every size alike rather than landing in a growth
 ratio whole. The layer names are those of BENCHMARK.json.
 `classify.materialize_s` includes the validation pass that
-`materialize_types` runs itself. `kb.index_build_s` is the store's
-subject table, which no load layer builds: the first query that looks a
-subject up would pay for it.
-`gc.collect_s` is one full collection after the load: without it, the
-first older-generation scan of the fresh kb's containers is charged to
-whichever query happens to trigger it. Each size's queries run on its
-first-round kb, and its `peak_rss_mb`, the process's high-water mark so
-far, is read right after them; so the first round runs the sizes in
-ascending order.
+`materialize_types` runs itself. `gc.collect_s` is one full collection
+after the load: without it, the first older-generation scan of the fresh
+kb's containers is charged to whichever query happens to trigger it.
+`kb.index_build_s`, timed after that collection, builds the store's
+subject table of every predicate, which no load layer builds: the first
+query that looks a subject up by a predicate would pay for that table.
+Each size's queries run on its first-round kb, and its `peak_rss_mb`,
+the process's high-water mark so far, is read right after them; so the
+first round runs the sizes in ascending order. Each size also keeps
+every chain's layer seconds, in the order run, under `"chains"`, so
+that a slow chain behind a median or a growth ratio can be told.
 """
 
 from __future__ import annotations
@@ -92,15 +94,16 @@ def _load(n: int, profile: GenProfile) -> tuple[dict, KnowledgeBase]:
     _timed(out, "model.validate_s", validate_kb, kb)
     kb = _timed(out, "classify.materialize_s", materialize_types, kb)
     _timed(out, "kb.stats_s", kb_stats, kb)
-    _timed(out, "kb.index_build_s", lambda: kb.store.by_sp)
     _timed(out, "gc.collect_s", gc.collect)
+    _timed(out, "kb.index_build_s", lambda: [kb.store.subjects(p) for p in kb.store.by_p])
     return out, kb
 
 
 def bench_sizes(sizes: list[int], profile: GenProfile, queries: dict) -> dict:
     """Per size, as a string: every layer's median seconds over `LOAD_RUNS`
-    load chains, every query's timings on the size's first kb, and the peak
-    RSS after them. Each round runs one chain per size, in the order given."""
+    load chains, every query's timings on the size's first kb, the peak
+    RSS after them, and each chain's layer seconds. Each round runs one
+    chain per size, in the order given."""
     chains: dict[int, list[dict]] = {n: [] for n in sizes}
     answers = {}
     for i in range(LOAD_RUNS):
@@ -117,6 +120,7 @@ def bench_sizes(sizes: list[int], profile: GenProfile, queries: dict) -> dict:
         str(n): {
             **{layer: statistics.median(c[layer] for c in chains[n]) for layer in LAYERS},
             **answers[n],
+            "chains": chains[n],
         }
         for n in sizes
     }

@@ -374,23 +374,23 @@ class DlEvaluator:
         """Whether one individual is a member of `node`, evaluated top-down
         through the subject lookups; `any` and `all` stop at the first
         match or miss."""
-        kind, by_sp = node[0], self.store.by_sp
+        kind = node[0]
         if kind == "set":
             return node[1].__contains__
         if kind == "and":
             tests = [self._test(c) for c in node[1]]
             return lambda x: all(test(x) for test in tests)
-        prop = node[1]
+        triples_of = self.store.subjects(node[1]).get
         if kind == "value":
             individual = node[2]
-            return lambda x: individual in map(_OBJECT, by_sp.get((x, prop), ()))
+            return lambda x: individual in map(_OBJECT, triples_of(x, ()))
         if kind == "some":
             inner = self._test(node[2])
-            return lambda x: any(map(inner, map(_OBJECT, by_sp.get((x, prop), ()))))
+            return lambda x: any(map(inner, map(_OBJECT, triples_of(x, ()))))
         compare, bound = _OPS[node[2]], node[3]
         return lambda x: any(
             compare(NUMBER[o[1]](o[2]), bound)
-            for _, _, o in by_sp.get((x, prop), ())
+            for _, _, o in triples_of(x, ())
             if isinstance(o, Literal) and o[1] in NUMBER
         )
 

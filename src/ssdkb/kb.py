@@ -55,48 +55,26 @@ class SchemaError(Exception):
 NUMBER = {"integer": int, "decimal": Decimal}
 
 
-class _BuiltAtFirstRead:
-    """A store table that the decorated method builds, with the collector
-    paused, at the table's first read. The table is then set as a plain
-    attribute of the store. `functools.cached_property` would write it
-    into the instance `__dict__` instead, and on CPython 3.11 that makes
-    every later read of the store's other attributes about three times
-    slower. Each read of the table still passes this descriptor, so a loop
-    reads it into a local once."""
-
-    def __init__(self, build):
-        self.build = gc_paused()(build)
-        self.__doc__ = build.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, store, owner=None):
-        if store is None:
-            return self
-        table = self.build(store)
-        setattr(store, self.name, table)
-        return table
-
-
 class TripleIndex:
     """The triple store that every layer after the reader uses: the triples
     in `all` plus lookup tables over them. A store is not changed once
     built; `extended` makes a new one. Only queries look triples up by
-    subject, so `by_sp` is built at the first such lookup, and the query
-    planners' tables, `stats` and `numbers`, per predicate at their first
-    call: loading a kb pays for none of them.
+    subject, so each predicate's subject table (`subjects`) is built at
+    the first lookup of that predicate, and the query planners' tables,
+    `stats` and `numbers`, per predicate at their first call: loading a kb
+    pays for none of them.
 
     The lists keep the order of `all`, which is the order given:
     `graph_to_kb` gives term order and `extended` appends its triples in
     term order, so each list of `by_p` and `by_po` is one or two sorted
-    runs, and `by_sp` sorts its lists. A join then emits rows nearly in
-    the order `eval_sparql` sorts them into. Order changes speed, never an
-    answer."""
+    runs, and each subject table sorts its lists. A join then emits rows
+    nearly in the order `eval_sparql` sorts them into. Order changes
+    speed, never an answer."""
 
     def __init__(self, triples):
         self._stats: dict[Iri | None, tuple[int, int, int]] = {}
         self._numbers: dict[Iri, tuple[list, list[Term]]] = {}
+        self._subjects: dict[Iri, dict[Term, list[Triple]]] = {}
         self.all = list(triples)
         self.by_p: dict[Iri, list[Triple]] = {}
         self.by_po: dict[tuple, list[Triple]] = {}
@@ -108,28 +86,12 @@ class TripleIndex:
             if p == RDF_TYPE and isinstance(o, Iri):
                 self.type_index.setdefault(o, set()).add(s)
 
-    @_BuiltAtFirstRead
-    def by_sp(self) -> dict[tuple, list[Triple]]:
-        """The triples by (subject, predicate), each list in term order,
-        built at the first lookup. After an extension a subject's type
-        triples come in two runs; sorting the lists that hold more than one
-        triple costs less than sorting `all`, and copies nothing."""
-        by_sp: dict[tuple, list[Triple]] = {}
-        for t in self.all:
-            s, p, _ = t
-            by_sp.setdefault((s, p), []).append(t)
-        for found in by_sp.values():
-            if len(found) > 1:
-                found.sort()
-        return by_sp
-
     def extended(self, triples) -> "TripleIndex":
         """A store over this store's triples plus `triples`, none of which
         this store holds. Only the keys that `triples` touch are merged, into
         copies of the tables, so this store stays as it was: each merged
         list is this store's run followed by the added triples' run, in
-        term order. The new store builds its own `by_sp` at its first
-        lookup."""
+        term order. The new store builds its own subject tables."""
         added = TripleIndex(sorted(triples))
         store = TripleIndex(())
         store.all = self.all + added.all
@@ -140,9 +102,9 @@ class TripleIndex:
 
     def holds(self, term: Term) -> bool:
         """Whether `term` is the subject or the object of a stored triple:
-        one probe of `by_sp` and one of `by_po` per predicate."""
-        by_sp, by_po = self.by_sp, self.by_po
-        return any((term, p) in by_sp or (p, term) in by_po for p in self.by_p)
+        one probe of `by_po` and one of the subject table per predicate."""
+        by_po = self.by_po
+        return any((p, term) in by_po or term in self.subjects(p) for p in self.by_p)
 
     def candidates(self, subject, predicate, obj) -> list[Triple]:
         """Triples matching the given constants (None = wildcard). The list
@@ -153,15 +115,24 @@ class TripleIndex:
             # one lookup per predicate of the store, not a scan of it
             if subject is None:
                 return [t for p in self.by_p for t in self.by_po.get((p, obj), ())]
-            by_sp = self.by_sp
-            found = [t for p in self.by_p for t in by_sp.get((subject, p), ())]
+            found = [t for p in self.by_p for t in self.subjects(p).get(subject, ())]
             return found if obj is None else [t for t in found if t.object == obj]
         if subject is None:
             if obj is None:
                 return self.by_p.get(predicate, [])
             return self.by_po.get((predicate, obj), [])
-        found = self.by_sp.get((subject, predicate), [])
+        found = self.subjects(predicate).get(subject, [])
         return found if obj is None else [t for t in found if t.object == obj]
+
+    def subjects(self, predicate: Iri) -> dict[Term, list[Triple]]:
+        """Each subject's triples of `predicate`, in term order, built from
+        `by_p` at the first call for `predicate`. A caller that looks many
+        subjects up reads the table once; the list under a subject is the
+        store's own, which callers must not change."""
+        found = self._subjects.get(predicate)
+        if found is None:
+            found = self._subjects[predicate] = _by_subject(self.by_p.get(predicate, ()))
+        return found
 
     def stats(self, predicate: Iri | None) -> tuple[int, int, int]:
         """The number of triples, distinct subjects and distinct objects of
@@ -189,6 +160,20 @@ class TripleIndex:
             )
             found = self._numbers[predicate] = ([v for v, _ in pairs], [s for _, s in pairs])
         return found
+
+
+@gc_paused()
+def _by_subject(triples: list[Triple]) -> dict[Term, list[Triple]]:
+    """`triples` grouped by subject. After an extension a subject's type
+    triples come in two runs; sorting the lists that hold more than one
+    triple costs less than sorting `all`, and copies nothing."""
+    table: dict[Term, list[Triple]] = {}
+    for t in triples:
+        table.setdefault(t[0], []).append(t)
+    for found in table.values():
+        if len(found) > 1:
+            found.sort()
+    return table
 
 
 def _joined(old: dict, new: dict, join) -> dict:

@@ -274,16 +274,19 @@ class _Step:
                 if first != j:
                     self.repeats.append((first, j))
         self.pick = _tuple_getter(list(self.new.values()))
-        # every row binds the subject and the predicate: a `by_sp` lookup
-        self.keyed = all(not isinstance(t, Var) or t.name in column for t in slots[:2])
+        # the predicate is a constant and every row binds the subject: one
+        # lookup in that predicate's subject table per row
+        self.keyed = not isinstance(slots[1], Var) and (
+            not isinstance(slots[0], Var) or slots[0].name in column
+        )
 
 
-def _keyed_candidates(by_sp: dict):
-    """`TripleIndex.candidates` for a given subject and predicate, over the
-    store's `by_sp` read once, not once per call."""
+def _keyed_candidates(table: dict):
+    """`TripleIndex.candidates` for a given subject and the constant
+    predicate whose subject table `table` is, read once, not once per call."""
 
     def candidates(subject, predicate, obj):
-        found = by_sp.get((subject, predicate), ())
+        found = table.get(subject, ())
         return found if obj is None else [t for t in found if t[2] == obj]
 
     return candidates
@@ -360,7 +363,7 @@ def join(
         # `candidates` matched the constants and the bound variables, so a
         # row only takes the new variables' values
         get, terms, pick, repeats = step.get, step.terms, step.pick, step.repeats
-        candidates = _keyed_candidates(index.by_sp) if step.keyed else index.candidates
+        candidates = _keyed_candidates(index.subjects(terms[1])) if step.keyed else index.candidates
         rows = [
             row + pick(t)
             for row in rows

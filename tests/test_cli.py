@@ -212,16 +212,18 @@ def test_bench_small_run(capsys):
     assert {"python", "machine"} <= report.keys()
     for n in ("3", "5"):
         run = report["runs"][n]
-        assert list(run) == BENCH_LAYERS + ["peak_rss_mb"]
+        assert list(run) == BENCH_LAYERS + ["peak_rss_mb", "chains"]
         assert all(run[layer] > 0 for layer in BENCH_LAYERS)
+        assert [chain.keys() for chain in run["chains"]] == [set(BENCH_LAYERS)] * 3
         assert run["peak_rss_mb"] > 0
     assert list(report["growth"]) == BENCH_LAYERS
 
 
 def test_bench_reports_each_layers_median(monkeypatch):
     """Each layer's figure is the median of three load chains, run round by
-    round over the sizes. Each size's queries answer on its first chain's
-    kb, and its peak RSS is read right after them."""
+    round over the sizes, and each chain's figures are kept in the order
+    run. Each size's queries answer on its first chain's kb, and its peak
+    RSS is read right after them."""
     loads = []
     times = {3: [5.0, 4.0, 1.0], 7: [1.0, 2.0, 9.0]}
 
@@ -240,6 +242,8 @@ def test_bench_reports_each_layers_median(monkeypatch):
     assert loads == [3, 7, 3, 7, 3, 7]
     assert [runs["3"][layer] for layer in BENCH_LAYERS] == [4.0] * len(BENCH_LAYERS)
     assert [runs["7"][layer] for layer in BENCH_LAYERS] == [2.0] * len(BENCH_LAYERS)
+    for n in (3, 7):
+        assert [chain["kb.lift_s"] for chain in runs[str(n)]["chains"]] == times[n]
     assert runs["3"]["query.first"]["rows"] == runs["7"]["query.first"]["rows"] == 1
     assert (runs["3"]["peak_rss_mb"], runs["7"]["peak_rss_mb"]) == (1.0, 2.0)
 

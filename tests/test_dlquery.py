@@ -497,6 +497,17 @@ def test_path_of_each_some_conjunct(name, paths):
     assert found == _REFERENCE(expr) != set()
 
 
+def test_top_down_builds_only_the_subject_tables_it_reads():
+    """`cq_by_intervention` tests its `hasPhase` conjunct top-down, through
+    the subject tables of `hasPhase` and of `hasInterventionType` alone."""
+    kb = materialize_types(generate_studies(30, GenProfile(seed=3)))
+    expr = parse_dl_query((QUERIES / "cq_by_intervention.dl").read_text())
+    evaluator = DlEvaluator(kb)
+    assert evaluator.eval(expr) == reference_members(kb)(expr)
+    assert [(some.prop, path) for some, path in evaluator.paths] == [("hasPhase", "top-down")]
+    assert kb.store._subjects.keys() == {vocab.HAS_PHASE, vocab.HAS_INTERVENTION_TYPE}
+
+
 # --- name resolution by role against the earlier one-rule resolution ---
 
 

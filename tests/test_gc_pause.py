@@ -10,7 +10,7 @@ import pytest
 from ssdkb.classify import materialize_types
 from ssdkb.generate import GenProfile, generate_graph
 from ssdkb.kb import SchemaError, TripleIndex, graph_to_kb
-from ssdkb.terms import gc_paused
+from ssdkb.terms import RDF_TYPE, gc_paused
 from ssdkb.turtle import TurtleSyntaxError, parse_turtle, serialize_turtle
 
 
@@ -104,7 +104,7 @@ BUILDS = {
     "graph_to_kb": (lambda c: graph_to_kb(c["graph"]), None),
     "graph_to_kb, dangling reference": (lambda c: graph_to_kb(c["dangling"]), SchemaError),
     "materialize_types": (lambda c: materialize_types(c["kb"]), None),
-    "TripleIndex.by_sp": (lambda c: TripleIndex(c["kb"].store.all).by_sp, None),
+    "TripleIndex.subjects": (lambda c: TripleIndex(c["kb"].store.all).subjects(RDF_TYPE), None),
 }
 
 

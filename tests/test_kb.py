@@ -105,15 +105,19 @@ def test_lift_takes_the_least_of_several_values(reverse):
     triples = graph.triples | {Triple(ssd("paul"), vocab.HAS_CONDITION, ssd("adhd"))}
     graph.triples = sorted(triples, reverse=reverse)
     kb = graph_to_kb(graph)
-    values = [t.object for t in kb.store.by_sp[ssd("paul"), vocab.HAS_CONDITION]]
+    values = [t.object for t in kb.store.subjects(vocab.HAS_CONDITION)[ssd("paul")]]
     assert values == [ssd("adhd"), ssd("autism")]
     (study,) = kb.studies
     (paul,) = study.participants
     assert paul.condition == ssd("adhd")
 
 
+def _subject_lists(store):
+    return [found for p in store.by_p for found in store.subjects(p).values()]
+
+
 def _lists(store):
-    return [found for table in (store.by_p, store.by_po, store.by_sp) for found in table.values()]
+    return [*store.by_p.values(), *store.by_po.values(), *_subject_lists(store)]
 
 
 @pytest.mark.parametrize("shuffled", [True, False])
@@ -132,7 +136,7 @@ def test_lift_builds_the_store_in_term_order(shuffled):
 def test_materialized_store_appends_its_triples_in_term_order():
     kb = graph_to_kb(generate_graph(30, GenProfile(seed=5)))
     mat = materialize_types(kb)
-    assert all(found == sorted(found) for found in mat.store.by_sp.values())
+    assert all(found == sorted(found) for found in _subject_lists(mat.store))
     # each list of `by_p` and `by_po`: the parent's run, then the added run
     for table, parent in ((mat.store.by_p, kb.store.by_p), (mat.store.by_po, kb.store.by_po)):
         for key, found in table.items():
@@ -178,11 +182,13 @@ def test_kb_to_graph_asserted_only_until_materialized(fig3_kb):
 
 
 def _tables(store):
-    """Every table of a store, with each list compared as a multiset."""
-    lists = [store.by_p, store.by_po, store.by_sp]
+    """Every table of a store, the subject table of each predicate among
+    them, with each list compared as a multiset."""
+    lists = [store.by_p, store.by_po]
     return (
         Counter(store.all),
         [{key: Counter(found) for key, found in table.items()} for table in lists],
+        {p: {s: Counter(found) for s, found in store.subjects(p).items()} for p in store.by_p},
         store.type_index,
     )
 
@@ -204,14 +210,17 @@ def test_materialize_extends_the_store_and_leaves_the_parent():
 
 
 def reference_store(triples):
-    """A store's tables as `TripleIndex.__init__` built all of them before
-    `by_sp` was deferred: one pass over the triples."""
-    store = SimpleNamespace(all=list(triples), by_p={}, by_po={}, by_sp={}, type_index={})
+    """A store's tables, the subject table of every predicate among them,
+    built at once in one pass over the triples."""
+    by_ps: dict = {}
+    store = SimpleNamespace(
+        all=list(triples), by_p={}, by_po={}, subjects=by_ps.__getitem__, type_index={}
+    )
     for t in store.all:
         s, p, o = t
         store.by_p.setdefault(p, []).append(t)
         store.by_po.setdefault((p, o), []).append(t)
-        store.by_sp.setdefault((s, p), []).append(t)
+        by_ps.setdefault(p, {}).setdefault(s, []).append(t)
         if p == RDF_TYPE and isinstance(o, Iri):
             store.type_index.setdefault(o, set()).add(s)
     return store
@@ -223,14 +232,13 @@ def test_loading_builds_no_subject_table():
     mat = materialize_types(kb)
     kb_stats(kb)
     kb_stats(mat)
-    assert "by_sp" not in vars(kb.store)
-    assert "by_sp" not in vars(mat.store)
+    assert kb.store._subjects == mat.store._subjects == {}
 
 
 @pytest.mark.parametrize("parent_first", [True, False])
 def test_subject_table_built_at_first_lookup_matches_an_eager_build(parent_first):
-    # the parent's `by_sp` built before or after `extended`: either way the
-    # new store builds its own from `all`
+    # the parent's subject tables built before or after `extended`: either
+    # way the new store builds its own from its `by_p`
     graph = generate_graph(30, GenProfile(seed=3))
     kb = graph_to_kb(graph)
     if parent_first:

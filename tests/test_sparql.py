@@ -12,6 +12,7 @@ from ssdkb.sparql import (
     SparqlSyntaxError,
     TriplePattern,
     Var,
+    _Step,
     eval_sparql,
     join,
     join_order,
@@ -19,11 +20,11 @@ from ssdkb.sparql import (
 )
 from ssdkb.classify import materialize_types
 from ssdkb.generate import GenProfile, generate_studies
-from ssdkb.kb import KnowledgeBase, empty_kb, graph_to_kb
+from ssdkb.kb import KnowledgeBase, TripleIndex, empty_kb, graph_to_kb
 from ssdkb.sparql import BindingTable
-from ssdkb.terms import Iri, Literal, Term, aut, local_name, ssd
+from ssdkb.terms import RDF_TYPE, Iri, Literal, Term, aut, local_name, ssd
 from ssdkb.turtle import parse_turtle
-from ssdkb.vocab import AB_DESIGN
+from ssdkb.vocab import AB_DESIGN, SINGLE_SUBJECT_DESIGN
 
 BEST_RESULT = (QUERIES / "sparql_best_result.rq").read_text()
 
@@ -36,8 +37,6 @@ def test_parse_best_result_query():
     assert query.limit == 1
     assert TriplePattern(Var("study"), ssd("hasPhase"), Var("ph")) in query.patterns
     # `a` expands to rdf:type
-    from ssdkb.terms import RDF_TYPE
-
     assert TriplePattern(Var("study"), RDF_TYPE, AB_DESIGN) in query.patterns
 
 
@@ -440,6 +439,19 @@ def test_type_listing_rows_leave_the_join_sorted():
     _, rows = join(join_order(query.patterns, _SMALL.store), _SMALL.store)
     assert len(rows) == 578
     assert rows == sorted(rows)
+
+
+def test_type_listing_reads_the_type_subject_table():
+    # the second step looks each study's types up in the subject table of
+    # rdf:type, and a store that has answered nothing builds that table alone
+    query = parse_sparql((QUERIES / "cq_type_of_study.rq").read_text())
+    store = TripleIndex(_SMALL.store.all)
+    first, second = join_order(query.patterns, store)
+    assert first == TriplePattern(Var("study"), RDF_TYPE, SINGLE_SUBJECT_DESIGN)
+    assert second == TriplePattern(Var("study"), RDF_TYPE, Var("type"))
+    assert _Step(second, {"study": 0}).keyed
+    assert len(join([first, second], store)[1]) == 578
+    assert list(store._subjects) == [RDF_TYPE]
 
 
 def test_best_result_joins_no_cross_product():
