@@ -189,11 +189,11 @@ def materialize_types(kb: KnowledgeBase) -> KnowledgeBase:
     inferred: set[Triple] = set()
 
     # `superclasses` includes the class itself, whose triples the store holds
-    for cls, members in kb.store.type_index.items():
+    for cls, triples in kb.store.objects(RDF_TYPE).items():
         if taxonomy.contains(cls):
             for sup in taxonomy.superclasses(cls):
                 if sup != cls:
-                    inferred.update(Triple(node, RDF_TYPE, sup) for node in members)
+                    inferred.update(Triple(node, RDF_TYPE, sup) for node, _, _ in triples)
 
     for study in kb.studies:
         classification = classify_study(study, taxonomy)

@@ -206,8 +206,6 @@ class DlEvaluator:
         self.kb = kb
         self.store = index = kb.store
         self.by_predicate = index.by_p
-        self.by_po = index.by_po
-        self.type_index = index.type_index
         self.paths: list[tuple[Some, str]] = []
 
     def resolve_class(self, name: str) -> Iri:
@@ -264,7 +262,7 @@ class DlEvaluator:
                     conjuncts.append(self._resolve(e))
             return ("and", conjuncts)
         if kind is NamedClass:
-            return ("set", self.type_index.get(self.resolve_class(expr.name), set()))
+            return ("set", self.store.members(self.resolve_class(expr.name)))
         if kind is OneOf:
             return ("set", {self.resolve_individual(name) for name in expr.individuals})
         prop = self.resolve_property(expr.prop)
@@ -272,7 +270,7 @@ class DlEvaluator:
             return ("some", prop, self._resolve(expr.filler), expr)
         if kind is Value:
             individual = self.resolve_individual(expr.individual)
-            return ("value", prop, individual, self.by_po.get((prop, individual), ()))
+            return ("value", prop, individual, self.store.objects(prop).get(individual, ()))
         if kind is DataSome:
             values, subjects = self.store.numbers(prop)
             start, stop = _RANGES[expr.op](values, expr.bound)
@@ -297,8 +295,8 @@ class DlEvaluator:
             # one lookup per filler member, or one pass over the property's
             # triples, whichever touches fewer
             if len(members) < len(triples):
-                by_po = self.by_po
-                return {s for m in members for s, _, _ in by_po.get((prop, m), ())}
+                triples_of = self.store.objects(prop).get
+                return {s for m in members for s, _, _ in triples_of(m, ())}
             return {s for s, _, o in triples if o in members}
         # "and": the other conjuncts give the seed (with none, the `some`
         # conjunct that is cheapest bottom-up does); each `some` conjunct then

@@ -57,54 +57,54 @@ NUMBER = {"integer": int, "decimal": Decimal}
 
 class TripleIndex:
     """The triple store that every layer after the reader uses: the triples
-    in `all` plus lookup tables over them. A store is not changed once
-    built; `extended` makes a new one. Only queries look triples up by
-    subject, so each predicate's subject table (`subjects`) is built at
-    the first lookup of that predicate, and the query planners' tables,
-    `stats` and `numbers`, per predicate at their first call: loading a kb
-    pays for none of them.
+    in `all` and, in `by_p`, each predicate's triples. A store is not
+    changed once built; `extended` makes a new one. Every other table is
+    built per key at its first use, from `by_p`, and kept: each
+    predicate's subject table (`subjects`) and object table (`objects`),
+    each class's members (`members`), and the query planners' `stats` and
+    `numbers`. So a load pays for `by_p` alone, and a query for the tables
+    of the predicates and classes it reads.
 
     The lists keep the order of `all`, which is the order given:
     `graph_to_kb` gives term order and `extended` appends its triples in
-    term order, so each list of `by_p` and `by_po` is one or two sorted
-    runs, and each subject table sorts its lists. A join then emits rows
-    nearly in the order `eval_sparql` sorts them into. Order changes
-    speed, never an answer."""
+    term order, so each list of `by_p` and of an object table is one or
+    two sorted runs, and each subject table sorts its lists. A join then
+    emits rows nearly in the order `eval_sparql` sorts them into. Order
+    changes speed, never an answer."""
 
     def __init__(self, triples):
         self._stats: dict[Iri | None, tuple[int, int, int]] = {}
         self._numbers: dict[Iri, tuple[list, list[Term]]] = {}
         self._subjects: dict[Iri, dict[Term, list[Triple]]] = {}
+        self._objects: dict[Iri, dict[Term, list[Triple]]] = {}
+        self._members: dict[Iri, set[Term]] = {}
+        self._nodes: set[Term] | None = None
         self.all = list(triples)
         self.by_p: dict[Iri, list[Triple]] = {}
-        self.by_po: dict[tuple, list[Triple]] = {}
-        self.type_index: dict[Iri, set[Term]] = {}
         for t in self.all:
-            s, p, o = t
-            self.by_p.setdefault(p, []).append(t)
-            self.by_po.setdefault((p, o), []).append(t)
-            if p == RDF_TYPE and isinstance(o, Iri):
-                self.type_index.setdefault(o, set()).add(s)
+            self.by_p.setdefault(t[1], []).append(t)
 
     def extended(self, triples) -> "TripleIndex":
         """A store over this store's triples plus `triples`, none of which
-        this store holds. Only the keys that `triples` touch are merged, into
-        copies of the tables, so this store stays as it was: each merged
-        list is this store's run followed by the added triples' run, in
-        term order. The new store builds its own subject tables."""
+        this store holds. Only the predicates that `triples` touch are
+        merged, into a copy of `by_p`, so this store stays as it was: each
+        merged list is this store's run followed by the added triples' run,
+        in term order. The new store builds its own other tables."""
         added = TripleIndex(sorted(triples))
         store = TripleIndex(())
         store.all = self.all + added.all
-        store.by_p = _joined(self.by_p, added.by_p, list.__add__)
-        store.by_po = _joined(self.by_po, added.by_po, list.__add__)
-        store.type_index = _joined(self.type_index, added.type_index, set.__or__)
+        store.by_p = dict(self.by_p)
+        for p, found in added.by_p.items():
+            store.by_p[p] = self.by_p[p] + found if p in self.by_p else found
         return store
 
     def holds(self, term: Term) -> bool:
         """Whether `term` is the subject or the object of a stored triple:
-        one probe of `by_po` and one of the subject table per predicate."""
-        by_po = self.by_po
-        return any((p, term) in by_po or term in self.subjects(p) for p in self.by_p)
+        one probe of the set of both, built from `all` at the first call."""
+        if self._nodes is None:
+            self._nodes = set(map(itemgetter(0), self.all))
+            self._nodes.update(map(itemgetter(2), self.all))
+        return term in self._nodes
 
     def candidates(self, subject, predicate, obj) -> list[Triple]:
         """Triples matching the given constants (None = wildcard). The list
@@ -114,13 +114,13 @@ class TripleIndex:
                 return self.all
             # one lookup per predicate of the store, not a scan of it
             if subject is None:
-                return [t for p in self.by_p for t in self.by_po.get((p, obj), ())]
+                return [t for p in self.by_p for t in self.objects(p).get(obj, ())]
             found = [t for p in self.by_p for t in self.subjects(p).get(subject, ())]
             return found if obj is None else [t for t in found if t.object == obj]
         if subject is None:
             if obj is None:
                 return self.by_p.get(predicate, [])
-            return self.by_po.get((predicate, obj), [])
+            return self.objects(predicate).get(obj, [])
         found = self.subjects(predicate).get(subject, [])
         return found if obj is None else [t for t in found if t.object == obj]
 
@@ -131,7 +131,32 @@ class TripleIndex:
         store's own, which callers must not change."""
         found = self._subjects.get(predicate)
         if found is None:
-            found = self._subjects[predicate] = _by_subject(self.by_p.get(predicate, ()))
+            found = self._subjects[predicate] = _grouped(self.by_p.get(predicate, ()), 0)
+            # after an extension a subject's type triples come in two runs;
+            # sorting the lists that hold more than one triple costs less
+            # than sorting `all`, and copies nothing
+            for rows in found.values():
+                if len(rows) > 1:
+                    rows.sort()
+        return found
+
+    def objects(self, predicate: Iri) -> dict[Term, list[Triple]]:
+        """Each object's triples of `predicate`, in the order of `by_p`,
+        built at the first call for `predicate`. The lists are the store's
+        own, which callers must not change."""
+        found = self._objects.get(predicate)
+        if found is None:
+            found = self._objects[predicate] = _grouped(self.by_p.get(predicate, ()), 2)
+        return found
+
+    def members(self, cls: Iri) -> set[Term]:
+        """The subjects typed `cls`, from the object table of `rdf:type`,
+        built at the first call for `cls`: a set that callers must not
+        change."""
+        found = self._members.get(cls)
+        if found is None:
+            typed = self.objects(RDF_TYPE).get(cls, ())
+            found = self._members[cls] = set(map(itemgetter(0), typed))
         return found
 
     def stats(self, predicate: Iri | None) -> tuple[int, int, int]:
@@ -163,25 +188,13 @@ class TripleIndex:
 
 
 @gc_paused()
-def _by_subject(triples: list[Triple]) -> dict[Term, list[Triple]]:
-    """`triples` grouped by subject. After an extension a subject's type
-    triples come in two runs; sorting the lists that hold more than one
-    triple costs less than sorting `all`, and copies nothing."""
+def _grouped(triples: list[Triple], position: int) -> dict[Term, list[Triple]]:
+    """`triples` grouped by their term at `position`, each list in the
+    order of `triples`."""
     table: dict[Term, list[Triple]] = {}
     for t in triples:
-        table.setdefault(t[0], []).append(t)
-    for found in table.values():
-        if len(found) > 1:
-            found.sort()
+        table.setdefault(t[position], []).append(t)
     return table
-
-
-def _joined(old: dict, new: dict, join) -> dict:
-    """A copy of `old` with `join(old[key], values)` under each key of `new`."""
-    out = dict(old)
-    for key, values in new.items():
-        out[key] = join(old[key], values) if key in old else values
-    return out
 
 
 @dataclass(frozen=True)
@@ -353,15 +366,15 @@ def graph_to_kb(graph: TripleGraph, taxonomy: Taxonomy | None = None) -> Knowled
     subjects = sorted(by_s, key=itemgetter(1))
     subjects.sort(key=itemgetter(0))
     store = TripleIndex(chain.from_iterable(map(by_s.__getitem__, subjects)))
-    typed = store.type_index
+    typed = store.objects(RDF_TYPE)
 
     study_nodes = sorted(
         {
             node
-            for cls, members in typed.items()
+            for cls, triples in typed.items()
             if taxonomy.contains(cls)
             and taxonomy.is_subclass_of(cls, vocab.SINGLE_SUBJECT_DESIGN)
-            for node in members
+            for node, _, _ in triples
         }
     )
 
@@ -379,11 +392,11 @@ def graph_to_kb(graph: TripleGraph, taxonomy: Taxonomy | None = None) -> Knowled
 
     # results grouped by the phase they reference
     results_by_phase: dict[Term, list[Result]] = {}
-    for node in typed.get(vocab.RESULT, ()):
+    for node, _, _ in typed.get(vocab.RESULT, ()):
         result = _read_result(node, by_s[node], by_s)
         results_by_phase.setdefault(result.phase_ref, []).append(result)
 
-    phase_nodes = set().union(*(typed.get(cls, ()) for cls in PHASE_CLASS_TO_KIND))
+    phase_nodes = {node for cls in PHASE_CLASS_TO_KIND for node, _, _ in typed.get(cls, ())}
     for phase_ref in results_by_phase:
         if phase_ref not in phase_nodes:
             raise SchemaError("result references a phase that does not exist", phase_ref)
@@ -531,24 +544,28 @@ def kb_stats(kb: KnowledgeBase) -> KbStats:
     """Exact counts over the kb's asserted and inferred triples.
     Individuals are IRI/blank nodes occurring in individual positions:
     subjects, plus non-class objects of non-type triples. Each kind test
-    runs once per distinct subject, and once per key of `by_po`, which
-    holds each (predicate, object) pair once."""
+    runs once per distinct subject and once per distinct object of the
+    non-type triples; the class counts come from the object table of
+    `rdf:type`, the only one this builds."""
     store = kb.store
     is_class = kb.taxonomy.contains
     subjects = set(map(itemgetter(0), store.all))
     individuals = {s for s in subjects if isinstance(s, (Iri, BlankNode))}
+    objects: set[Term] = set()
+    for p, triples in store.by_p.items():
+        if p != RDF_TYPE:
+            objects.update(map(itemgetter(2), triples))
+    # hasMBDItemType points at a class, not an individual
     individuals.update(
-        o
-        for p, o in store.by_po
-        # hasMBDItemType points at a class, not an individual
-        if p != RDF_TYPE and (isinstance(o, BlankNode) or isinstance(o, Iri) and not is_class(o))
+        o for o in objects if isinstance(o, BlankNode) or isinstance(o, Iri) and not is_class(o)
     )
     # the store's triples are distinct, so each class has one type triple
     # per member
     per_class: dict[str, int] = {}
-    for cls, members in store.type_index.items():
-        name = local_name(cls)
-        per_class[name] = per_class.get(name, 0) + len(members)
+    for cls, triples in store.objects(RDF_TYPE).items():
+        if isinstance(cls, Iri):
+            name = local_name(cls)
+            per_class[name] = per_class.get(name, 0) + len(triples)
     return KbStats(
         study_count=len(kb.studies),
         triple_count=len(store.all),

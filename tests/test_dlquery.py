@@ -251,7 +251,10 @@ def test_results_are_the_callers_own():
         first.update({ssd("intruder"), aut("intruder")})
         assert names(second) == expected
         assert names(eval_dl_query(parse_dl_query(text), kb)) == expected
-    assert kb.store.type_index == TripleIndex(kb.all_triples()).type_index
+    # the class members that the queries read are as a fresh store builds them
+    fresh = TripleIndex(kb.all_triples())
+    assert kb.store._members
+    assert all(found == fresh.members(cls) for cls, found in kb.store._members.items())
 
 
 def test_prefixed_names_resolve(fig3_mat):
@@ -407,7 +410,8 @@ def _expressions(kind, depth):
 
 def _uses_lookup(text):
     """Whether the index-driven evaluator answers the top `some` of `text`
-    from `by_po`: its filler has fewer members than the property has triples."""
+    from its property's object table: its filler has fewer members than the
+    property has triples."""
     expr = parse_dl_query(text)
     evaluator = DlEvaluator(_CORPUS)
     triples = _CORPUS.store.by_p[evaluator.resolve_property(expr.prop)]
@@ -506,6 +510,21 @@ def test_top_down_builds_only_the_subject_tables_it_reads():
     assert evaluator.eval(expr) == reference_members(kb)(expr)
     assert [(some.prop, path) for some, path in evaluator.paths] == [("hasPhase", "top-down")]
     assert kb.store._subjects.keys() == {vocab.HAS_PHASE, vocab.HAS_INTERVENTION_TYPE}
+
+
+def test_bottom_up_builds_only_the_object_tables_it_reads():
+    """`cq_by_condition` seeds with the members of `SingleSubjectDesign`
+    (the object table of rdf:type), and joins its `hasParticipant` conjunct
+    bottom-up from the `hasCondition value autism` triples, looking each
+    participant up in the object table of `hasParticipant`."""
+    kb = materialize_types(generate_studies(30, GenProfile(seed=3)))
+    expr = parse_dl_query((QUERIES / "cq_by_condition.dl").read_text())
+    evaluator = DlEvaluator(kb)
+    assert evaluator.eval(expr) == reference_members(kb)(expr)
+    assert [(some.prop, path) for some, path in evaluator.paths] == [("hasParticipant", "bottom-up")]
+    assert kb.store._objects.keys() == {RDF_TYPE, vocab.HAS_CONDITION, vocab.HAS_PARTICIPANT}
+    assert kb.store._members.keys() == {vocab.SINGLE_SUBJECT_DESIGN}
+    assert kb.store._subjects == {}
 
 
 # --- name resolution by role against the earlier one-rule resolution ---
@@ -663,3 +682,10 @@ def test_holds_matches_a_scan():
     for term in terms:
         assert store.holds(term) == (term in nodes), term
     assert not any(map(store.holds, absent))
+
+
+def test_holds_builds_no_subject_or_object_table():
+    store = TripleIndex(_CORPUS.store.all)
+    assert store.holds(store.all[0].object)
+    assert not store.holds(aut("nobody"))
+    assert store._subjects == store._objects == {}

@@ -105,6 +105,7 @@ BUILDS = {
     "graph_to_kb, dangling reference": (lambda c: graph_to_kb(c["dangling"]), SchemaError),
     "materialize_types": (lambda c: materialize_types(c["kb"]), None),
     "TripleIndex.subjects": (lambda c: TripleIndex(c["kb"].store.all).subjects(RDF_TYPE), None),
+    "TripleIndex.objects": (lambda c: TripleIndex(c["kb"].store.all).objects(RDF_TYPE), None),
 }
 
 

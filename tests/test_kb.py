@@ -116,8 +116,12 @@ def _subject_lists(store):
     return [found for p in store.by_p for found in store.subjects(p).values()]
 
 
+def _object_lists(store):
+    return [found for p in store.by_p for found in store.objects(p).values()]
+
+
 def _lists(store):
-    return [*store.by_p.values(), *store.by_po.values(), *_subject_lists(store)]
+    return [*store.by_p.values(), *_object_lists(store), *_subject_lists(store)]
 
 
 @pytest.mark.parametrize("shuffled", [True, False])
@@ -137,8 +141,11 @@ def test_materialized_store_appends_its_triples_in_term_order():
     kb = graph_to_kb(generate_graph(30, GenProfile(seed=5)))
     mat = materialize_types(kb)
     assert all(found == sorted(found) for found in _subject_lists(mat.store))
-    # each list of `by_p` and `by_po`: the parent's run, then the added run
-    for table, parent in ((mat.store.by_p, kb.store.by_p), (mat.store.by_po, kb.store.by_po)):
+    # each list of `by_p` and of each object table: the parent's run, then
+    # the added run
+    tables = [(mat.store.by_p, kb.store.by_p)]
+    tables += [(mat.store.objects(p), kb.store.objects(p)) for p in mat.store.by_p]
+    for table, parent in tables:
         for key, found in table.items():
             old = parent.get(key, [])
             added = found[len(old):]
@@ -182,14 +189,18 @@ def test_kb_to_graph_asserted_only_until_materialized(fig3_kb):
 
 
 def _tables(store):
-    """Every table of a store, the subject table of each predicate among
-    them, with each list compared as a multiset."""
-    lists = [store.by_p, store.by_po]
+    """Every table of a store, the subject and object tables of each
+    predicate and the members of each class among them, with each list
+    compared as a multiset."""
+    by_key = [store.subjects, store.objects]
     return (
         Counter(store.all),
-        [{key: Counter(found) for key, found in table.items()} for table in lists],
-        {p: {s: Counter(found) for s, found in store.subjects(p).items()} for p in store.by_p},
-        store.type_index,
+        {p: Counter(found) for p, found in store.by_p.items()},
+        [
+            {p: {key: Counter(found) for key, found in table(p).items()} for p in store.by_p}
+            for table in by_key
+        ],
+        {cls: store.members(cls) for cls in store.objects(RDF_TYPE) if isinstance(cls, Iri)},
     )
 
 
@@ -210,19 +221,26 @@ def test_materialize_extends_the_store_and_leaves_the_parent():
 
 
 def reference_store(triples):
-    """A store's tables, the subject table of every predicate among them,
-    built at once in one pass over the triples."""
+    """A store's tables, the subject and object tables of every predicate
+    and the members of every class among them, built at once in one pass
+    over the triples."""
     by_ps: dict = {}
+    by_po: dict = {}
+    typed: dict = {}
     store = SimpleNamespace(
-        all=list(triples), by_p={}, by_po={}, subjects=by_ps.__getitem__, type_index={}
+        all=list(triples),
+        by_p={},
+        subjects=by_ps.__getitem__,
+        objects=by_po.__getitem__,
+        members=typed.__getitem__,
     )
     for t in store.all:
         s, p, o = t
         store.by_p.setdefault(p, []).append(t)
-        store.by_po.setdefault((p, o), []).append(t)
         by_ps.setdefault(p, {}).setdefault(s, []).append(t)
+        by_po.setdefault(p, {}).setdefault(o, []).append(t)
         if p == RDF_TYPE and isinstance(o, Iri):
-            store.type_index.setdefault(o, set()).add(s)
+            typed.setdefault(o, set()).add(s)
     return store
 
 
@@ -233,12 +251,15 @@ def test_loading_builds_no_subject_table():
     kb_stats(kb)
     kb_stats(mat)
     assert kb.store._subjects == mat.store._subjects == {}
+    # the lift, `materialize_types` and `kb_stats` read the object table of
+    # rdf:type alone
+    assert list(kb.store._objects) == list(mat.store._objects) == [RDF_TYPE]
 
 
 @pytest.mark.parametrize("parent_first", [True, False])
 def test_subject_table_built_at_first_lookup_matches_an_eager_build(parent_first):
-    # the parent's subject tables built before or after `extended`: either
-    # way the new store builds its own from its `by_p`
+    # the parent's subject and object tables built before or after
+    # `extended`: either way the new store builds its own from its `by_p`
     graph = generate_graph(30, GenProfile(seed=3))
     kb = graph_to_kb(graph)
     if parent_first:
