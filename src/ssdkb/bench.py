@@ -18,9 +18,14 @@ scan of the fresh kb's containers and tables is charged to whichever
 query happens to trigger it.
 Each size's queries run on its first-round kb, and its `peak_rss_mb`,
 the process's high-water mark so far, is read right after them; so the
-first round runs the sizes in ascending order. Each size also keeps
-every chain's layer seconds, in the order run, under `"chains"`, so
-that a slow chain behind a median or a growth ratio can be told.
+first round runs the sizes in ascending order. `load_peak_rss_mb` is the
+same mark read in the first round after `kb_stats` and before the table
+build, so it shows what a load holds, which the tables and the queries
+would hide. Each size also keeps every chain's layer seconds, in the
+order run, under `"chains"`, so that a slow chain behind a median or a
+growth ratio can be told. `control_ms` times a fixed pure-Python loop,
+which no change to the program touches, before the first round and after
+the last: when it moves between two reports, so did the machine.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ LAYERS = (
 )
 LOAD_RUNS = 3
 WARM_RUNS = 5
+CONTROL_STEPS = 500_000
 # a query file's suffix picks its parser and evaluator; each evaluator
 # returns the answer's rows
 ENGINES = {
@@ -85,6 +91,20 @@ def _answer(run, kb: KnowledgeBase) -> dict:
     return {"cold_ms": ms[0], "warm_ms": statistics.median(ms[1:]), "rows": len(rows)}
 
 
+def _peak_rss_mb() -> float:
+    """The process's high-water mark of resident memory so far, in MB."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
+def _control_ms() -> float:
+    """The milliseconds of a fixed loop of integer, string and dict steps."""
+    start = time.perf_counter()
+    seen: dict[str, int] = {}
+    for i in range(CONTROL_STEPS):
+        seen[str(i % 1000)] = i
+    return round((time.perf_counter() - start) * 1000.0, 3)
+
+
 @gc_paused()
 def _build_tables(store: TripleIndex) -> None:
     """Each predicate's subject and object tables, each class's members,
@@ -97,8 +117,9 @@ def _build_tables(store: TripleIndex) -> None:
     store.holds(None)
 
 
-def _load(n: int, profile: GenProfile) -> tuple[dict, KnowledgeBase]:
-    """One load chain's layer seconds, and the kb it built."""
+def _load(n: int, profile: GenProfile) -> tuple[dict, KnowledgeBase, float]:
+    """One load chain's layer seconds, the kb it built, and the peak RSS
+    before its table build."""
     out: dict = {}
     graph = _timed(out, "generate.graph_s", generate_graph, n, profile)
     text = _timed(out, "turtle.serialize_s", serialize_turtle, graph)
@@ -110,28 +131,28 @@ def _load(n: int, profile: GenProfile) -> tuple[dict, KnowledgeBase]:
     _timed(out, "model.validate_s", validate_kb, kb)
     kb = _timed(out, "classify.materialize_s", materialize_types, kb)
     _timed(out, "kb.stats_s", kb_stats, kb)
+    load_peak_mb = _peak_rss_mb()
     _timed(out, "kb.index_build_s", _build_tables, kb.store)
     _timed(out, "gc.collect_s", gc.collect)
-    return out, kb
+    return out, kb, load_peak_mb
 
 
 def bench_sizes(sizes: list[int], profile: GenProfile, queries: dict) -> dict:
     """Per size, as a string: every layer's median seconds over `LOAD_RUNS`
     load chains, every query's timings on the size's first kb, the peak
-    RSS after them, and each chain's layer seconds. Each round runs one
-    chain per size, in the order given."""
+    RSS after them and after its first load, and each chain's layer
+    seconds. Each round runs one chain per size, in the order given."""
     chains: dict[int, list[dict]] = {n: [] for n in sizes}
     answers = {}
     for i in range(LOAD_RUNS):
         for n in sizes:
             kb = None  # the previous chain's kb goes before the next is built
-            layers, kb = _load(n, profile)
+            layers, kb, load_peak_mb = _load(n, profile)
             chains[n].append(layers)
             if i == 0:
                 answers[n] = {name: _answer(run, kb) for name, run in queries.items()}
-                answers[n]["peak_rss_mb"] = round(
-                    resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
-                )
+                answers[n]["load_peak_rss_mb"] = load_peak_mb
+                answers[n]["peak_rss_mb"] = _peak_rss_mb()
     return {
         str(n): {
             **{layer: statistics.median(c[layer] for c in chains[n]) for layer in LAYERS},
@@ -143,8 +164,10 @@ def bench_sizes(sizes: list[int], profile: GenProfile, queries: dict) -> dict:
 
 
 def run_bench(sizes: list[int], profile: GenProfile, queries: dict) -> dict:
-    """The report: `bench_sizes` over the sizes, smallest first."""
+    """The report: `bench_sizes` over the sizes, smallest first, between
+    two timings of the control loop."""
     sizes = sorted(set(sizes))
+    control_before = _control_ms()
     report = {
         "schema": 1,
         "python": platform.python_version(),
@@ -152,6 +175,7 @@ def run_bench(sizes: list[int], profile: GenProfile, queries: dict) -> dict:
         "seed": profile.seed,
         "sizes": sizes,
         "runs": bench_sizes(sizes, profile, queries),
+        "control_ms": {"before": control_before, "after": _control_ms()},
     }
     if len(sizes) > 1:
         first, last = report["runs"][str(sizes[0])], report["runs"][str(sizes[-1])]

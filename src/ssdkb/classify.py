@@ -207,4 +207,5 @@ def materialize_types(kb: KnowledgeBase) -> KnowledgeBase:
                 for sup in taxonomy.superclasses(item_class):
                     inferred.add(Triple(item.id, RDF_TYPE, sup))
 
-    return kb.with_inferred(inferred - kb.graph.triples - kb.inferred)
+    # a set's difference with an exact dict probes it with the stored hashes
+    return kb.with_inferred(inferred.difference(kb.graph.triples, kb.inferred))

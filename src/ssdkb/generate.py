@@ -330,7 +330,7 @@ def generate_graph(n: int, profile: GenProfile | None = None) -> TripleGraph:
             graph.add(iri, vocab.IN_FORM_OF, ssd("percentage"))
     for index in range(n):
         study = _generate_study(index, profile, (interventions, outcomes))
-        graph.triples |= study_to_triples(study)
+        graph.triples.update(study_to_triples(study))
     return graph
 
 

@@ -351,11 +351,19 @@ def graph_to_kb(graph: TripleGraph, taxonomy: Taxonomy | None = None) -> Knowled
     """Lift a triple graph to typed studies. Raises SchemaError on type
     clashes and dangling references; structural problems beyond that are
     left for validate_study. Each node is read from its own triples,
-    grouped by subject for this call only, so the kb keeps no such table."""
+    grouped by subject for this call only, so the kb keeps no such table.
+    The grouping probes its table once per run of triples that share one
+    subject instance, and a subject's later runs extend its group: a graph
+    in the text's order, as `parse_turtle` gives it, costs one probe per
+    statement, and any order of the same triples gives the same kb."""
     taxonomy = taxonomy or core_taxonomy()
     by_s: defaultdict[Term, list[Triple]] = defaultdict(list)
+    last = None
     for t in graph.triples:
-        by_s[t[0]].append(t)
+        if t[0] is not last:
+            last = t[0]
+            rows = by_s[last]
+        rows.append(t)
     for rows in by_s.values():
         rows.sort()
     # the store takes the sorted groups in (kind, text) order of their
@@ -459,15 +467,17 @@ def validate_kb(kb: KnowledgeBase) -> list[Violation]:
 
 def kb_to_graph(kb: KnowledgeBase) -> TripleGraph:
     """Asserted triples, plus inferred type triples when materialized."""
-    return TripleGraph(prefix_table=dict(kb.graph.prefix_table), triples=kb.all_triples())
+    triples = dict.fromkeys(chain(kb.graph.triples, kb.inferred))
+    return TripleGraph(prefix_table=dict(kb.graph.prefix_table), triples=triples)
 
 
-def study_to_triples(study: Study) -> set[Triple]:
-    """Triples asserting one typed study (used by the generator)."""
-    triples: set[Triple] = set()
+def study_to_triples(study: Study) -> dict[Triple, None]:
+    """Triples asserting one typed study (used by the generator), as an
+    ordered set."""
+    triples: dict[Triple, None] = {}
 
     def add(s: Term, p: Iri, o: Term) -> None:
-        triples.add(Triple(s, p, o))
+        triples[Triple(s, p, o)] = None
 
     asserted = study.asserted_class or vocab.SINGLE_SUBJECT_DESIGN
     add(study.id, RDF_TYPE, asserted)

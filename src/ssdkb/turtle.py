@@ -6,16 +6,20 @@ angle brackets, the `a` keyword, `;` predicate lists, `.` terminators,
 `#` comments. Collections, language tags and numeric exponents are out of
 scope.
 
-The reader makes one pass over the text. It reads a statement with two
-regexes built from `scan`'s token fragments: one matches the subject and
-the first predicate-object pair, the other each later pair, each match
-ending at the `;` or `.` after its object. So it takes one Python step per
-pair, not per token. Where neither matches, or a term does not resolve, it
-reads that statement again from its start with the token loop: `scan`'s
-regex and error rule, one token at a time, calling `next` on `finditer`
-itself rather than going through `scan.Cursor`. The token loop also reads
-every `@prefix` directive and the end of the text, and it raises every
-syntax error, so messages and positions are those of a token-by-token read.
+The reader makes one pass over the text. Its line reader splits each line
+at `\n` (where a `#` comment ends) and the line at whitespace, and reads
+the tokens with a small state machine, so it takes one Python step per
+token and no regex. The first time a token's text is seen, `scan`'s regex
+must read all of it as one term token before the text enters the term
+cache; a `;` or `.` glued to the end of an object is split off. Where the
+line reader cannot read a statement, it hands the statement's start to the
+token loop: `scan`'s regex and error rule, one token at a time, calling
+`next` on `finditer` itself rather than going through `scan.Cursor`. The
+token loop reads that statement, every `@prefix` directive and the end of
+the text, and it raises every syntax error, so messages and positions are
+those of a token-by-token read. The line reader takes over again at the
+next line, so it reads each line at most once, and the token loop each
+statement. The graph keeps its triples in the order of the text.
 
 Within one document, every distinct IRI, prefixed name, blank-node label
 and literal token is turned into a term once, and all its occurrences share
@@ -68,11 +72,15 @@ class Triple(_Tagged):
 
 @dataclass
 class TripleGraph:
+    """A prefix table and a set of triples. `triples` is a dict used as an
+    ordered set: it keeps the triples in the order they were added, which
+    for a parsed graph is the order of the text."""
+
     prefix_table: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_PREFIXES))
-    triples: set[Triple] = field(default_factory=set)
+    triples: dict[Triple, None] = field(default_factory=dict)
 
     def add(self, subject: Term, predicate: Iri, obj: Term) -> None:
-        self.triples.add(Triple(subject, predicate, obj))
+        self.triples[Triple(subject, predicate, obj)] = None
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -103,77 +111,146 @@ _TOKEN_RX = scan.language(
 )
 _TERM_KINDS = frozenset(("IRIREF", "BLANK", "PNAME", "DECIMAL", "INTEGER", "STRING"))
 
-# The pair regexes. Each piece matches only where the scanner reads a token
-# of its kind, and only the whole token, so backtracking cannot split a
-# token the way a plain concatenation would (`s:a s:p .` read as
-# `s: a s:p .`). So a name is not followed by a name character, an integer
-# not by a digit or by the `.5` that makes it a decimal, and a comment runs
-# to the end of its line. A decimal needs no guard: only `;` or `.` may
-# follow it.
-_SKIP = r"\s*(?:#[^\n]*(?![^\n])\s*)*"
-_NAME_END = r"(?![A-Za-z0-9_\-])"
-_NODE = rf"{scan.IRIREF}|{_BLANK}{_NAME_END}|{_PNAME}{_NAME_END}"
-_PAIR = (
-    rf"({_A}|{_PNAME}{_NAME_END}|{scan.IRIREF}){_SKIP}"
-    rf"({_NODE}|{scan.DECIMAL}|{scan.INTEGER}(?!\.?[0-9])|{scan.STRING})"
-    rf"{_SKIP}([;.])"
-)
-# a statement's subject and first pair: (subject, predicate, object, ";" or ".")
-_HEAD_RX = re.compile(rf"{_SKIP}({_NODE}){_SKIP}{_PAIR}")
-# a later pair, or the "." after a trailing ";": (predicate, object, ";" or ".")
-_TAIL_RX = re.compile(rf"{_SKIP}(?:\.|{_PAIR})")
+# what the line reader takes next: `_NEXT` is a predicate or the `.` after
+# a trailing `;`
+_SUBJECT, _PREDICATE, _OBJECT, _END, _NEXT = range(5)
+# the rest of a line after the token loop's last statement, if it is blank
+# or a comment
+_LINE_END = re.compile(r"[^\S\n]*(?:#[^\n]*)?\n")
+# The line reader splits the text into lines a block at a time. A block
+# starts at 256 characters and doubles up to this size, so the lines it
+# splits but does not read before handing a statement to the token loop
+# are never more than it read, and the lines held at once stay few.
+_BLOCK = 1 << 16
+
+
+def _start(line_pos: int, line: str, ends: int) -> int:
+    """The offset of the statement that follows `ends` statement ends on
+    the line at `line_pos`. The line reader read each token of the line
+    before it, so each token there that ends in `.` ends a statement."""
+    k = 0
+    if ends:
+        k = [i for i, tok in enumerate(line.split()) if tok[-1] == "."][ends - 1] + 1
+    return line_pos + len(line) - len(line.split(None, k)[k])
 
 
 class _Reader:
-    """One pass over a document. Most statements are read by the pair
-    regexes, one match per predicate-object pair. Where they do not match,
-    or a term does not resolve, the token loop reads that statement again
-    from its start, one token at a time: it alone reads directives and the
-    end of the text, and it alone raises syntax errors."""
+    """One pass over a document. The line reader reads most statements,
+    one whitespace-split token per step. Where it cannot read a statement,
+    the token loop reads it from its start, one scanner token at a time: it
+    alone reads directives and the end of the text, and it alone raises
+    syntax errors."""
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _TOKEN_RX.finditer(text)
         self.graph = TripleGraph(prefix_table={})
-        # token text -> the one term instance shared by all its occurrences
+        # token text -> the one term instance shared by all its occurrences;
+        # `predicates` holds the IRIs among them and the keyword `a`
         self.terms: dict[str, Term] = {}
+        self.predicates: dict[str, Iri] = {"a": RDF_TYPE}
 
     def read(self) -> TripleGraph:
         pos: int | None = 0
         while pos is not None:
-            end = self.read_pairs(pos)
-            pos = self.read_tokens(pos) if end is None else end
+            pos = self.read_tokens(self.read_lines(pos))
         return self.graph
 
-    def read_pairs(self, pos: int) -> int | None:
-        """The end of the statement at `pos`, read by the pair regexes; None
-        if they cannot read all of it."""
-        text, terms, resolve = self.text, self.terms, self.resolve
-        add = self.graph.triples.add
-        # The pattern admits only IRIs and `a` as predicates, so the check
-        # in `Triple.__new__` cannot fail here.
-        new = tuple.__new__
-        m = _HEAD_RX.match(text, pos)
-        if m is None:
-            return None
-        s, p, o, sep = m.groups()
-        subject = terms.get(s) or resolve(s)
-        if subject is None:
-            return None
-        while True:
-            predicate = terms.get(p) or (RDF_TYPE if p == "a" else resolve(p))
-            obj = terms.get(o) or resolve(o)
-            if predicate is None or obj is None:
-                return None
-            add(new(Triple, (subject, predicate, obj)))
-            if sep == ".":
-                return m.end()
-            m = _TAIL_RX.match(text, m.end())
+    def read_lines(self, pos: int) -> int:
+        """Read whole lines from the one after `pos`, where the token loop
+        stopped, or from the start of the text. Return the start of the
+        first statement or directive the line reader cannot read, or the end
+        of the text; `pos` itself if more of its line is left."""
+        text = self.text
+        if pos:
+            m = _LINE_END.match(text, pos)
             if m is None:
-                return None
-            p, o, sep = m.groups()
-            if p is None:  # a trailing `;` before the `.`
-                return m.end()
+                return pos
+            pos = m.end()
+        terms, predicates, term_of = self.terms, self.predicates, self.term_of
+        triples = self.graph.triples
+        # Only IRIs and `a` enter `predicates`, so the check in
+        # `Triple.__new__` cannot fail here.
+        new = tuple.__new__
+        want = _SUBJECT
+        size = 256
+        while pos <= len(text):
+            block_end = text.find("\n", pos + size)
+            if block_end < 0:
+                block_end = len(text)
+            size = min(2 * size, _BLOCK)
+            for line in text[pos:block_end].split("\n"):
+                ends = 0  # statements that ended on this line
+                for tok in line.split():
+                    if want == _OBJECT:
+                        o = terms.get(tok)
+                        if o is None:
+                            if tok[0] == "#":
+                                break
+                            # No term token ends in `;` or `.`, so such a token
+                            # is an object with its separator glued on.
+                            end = tok[-1]
+                            if end != ";" and end != ".":
+                                o = term_of(tok)
+                                if o is None:
+                                    return _start(*start)
+                            else:
+                                o = terms.get(tok[:-1]) or term_of(tok[:-1])
+                                if o is None:
+                                    return _start(*start)
+                                triples[new(Triple, (s, p, o))] = None
+                                if end == ";":
+                                    want = _NEXT
+                                else:
+                                    want = _SUBJECT
+                                    ends += 1
+                                continue
+                        triples[new(Triple, (s, p, o))] = None
+                        want = _END
+                    elif want == _END:
+                        if tok == ";":
+                            want = _NEXT
+                        elif tok == ".":
+                            want = _SUBJECT
+                            ends += 1
+                        elif tok[0] == "#":
+                            break
+                        else:
+                            return _start(*start)
+                    elif want == _SUBJECT:
+                        s = terms.get(tok)
+                        if s is None:
+                            if tok[0] == "#":
+                                break
+                            s = term_of(tok)
+                        start = (pos, line, ends)  # where the token loop would start
+                        if s is None or isinstance(s, Literal):
+                            return _start(*start)
+                        want = _PREDICATE
+                    else:
+                        p = predicates.get(tok)
+                        if p is None:
+                            if tok == "." and want == _NEXT:
+                                want = _SUBJECT
+                                ends += 1
+                                continue
+                            if tok[0] == "#":
+                                break
+                            p = term_of(tok)
+                            if not isinstance(p, Iri):
+                                return _start(*start)
+                            predicates[tok] = p
+                        want = _OBJECT
+                pos += len(line) + 1
+        return len(text) if want == _SUBJECT else _start(*start)
+
+    def term_of(self, tok: str) -> Term | None:
+        """The term that `tok` stands for, now cached, if the scanner reads
+        all of it as one term token; None otherwise, or if it does not
+        resolve."""
+        m = _TOKEN_RX.match(tok)
+        if m.end() != len(tok) or m.lastgroup not in _TERM_KINDS:
+            return None
+        return self.resolve(tok)
 
     def read_tokens(self, pos: int) -> int | None:
         """The end of the directive or statement at `pos`, read by the token
@@ -188,14 +265,14 @@ class _Reader:
 
     def read_statement(self, m: re.Match) -> int:
         tokens = self.tokens
-        triples = self.graph.triples
+        add = self.graph.add
         subject = self.term(m)
         if isinstance(subject, Literal):
             raise self.error("subject cannot be a literal", m)
         m = next(tokens)
         while True:
             predicate = self.predicate(m)
-            triples.add(Triple(subject, predicate, self.term(next(tokens))))
+            add(subject, predicate, self.term(next(tokens)))
             m = next(tokens)
             kind = m.lastgroup
             if kind == "SEMI":
@@ -220,6 +297,7 @@ class _Reader:
         self.graph.prefix_table[label[:-1]] = iri[1:-1]
         # Cached prefixed names may resolve differently under the new prefix.
         self.terms.clear()
+        self.predicates = {"a": RDF_TYPE}
         return m.end()
 
     def expect(self, m: re.Match, kind: str) -> str:

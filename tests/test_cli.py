@@ -212,25 +212,27 @@ def test_bench_small_run(capsys):
     assert {"python", "machine"} <= report.keys()
     for n in ("3", "5"):
         run = report["runs"][n]
-        assert list(run) == BENCH_LAYERS + ["peak_rss_mb", "chains"]
+        assert list(run) == BENCH_LAYERS + ["load_peak_rss_mb", "peak_rss_mb", "chains"]
         assert all(run[layer] > 0 for layer in BENCH_LAYERS)
         assert [chain.keys() for chain in run["chains"]] == [set(BENCH_LAYERS)] * 3
-        assert run["peak_rss_mb"] > 0
+        assert 0 < run["load_peak_rss_mb"] <= run["peak_rss_mb"]
     assert list(report["growth"]) == BENCH_LAYERS
+    assert list(report["control_ms"]) == ["before", "after"]
+    assert all(ms > 0 for ms in report["control_ms"].values())
 
 
 def test_bench_reports_each_layers_median(monkeypatch):
     """Each layer's figure is the median of three load chains, run round by
     round over the sizes, and each chain's figures are kept in the order
     run. Each size's queries answer on its first chain's kb, and its peak
-    RSS is read right after them."""
+    RSS is read right after them; its load peak is its first chain's."""
     loads = []
     times = {3: [5.0, 4.0, 1.0], 7: [1.0, 2.0, 9.0]}
 
     def load(n, profile):
         loads.append(n)
         i = loads.count(n) - 1
-        return dict.fromkeys(BENCH_LAYERS, times[n][i]), (n, i)
+        return dict.fromkeys(BENCH_LAYERS, times[n][i]), (n, i), len(loads) - 0.5
 
     monkeypatch.setattr(bench, "_load", load)
     # the high-water mark counts the chains run so far
@@ -246,6 +248,7 @@ def test_bench_reports_each_layers_median(monkeypatch):
         assert [chain["kb.lift_s"] for chain in runs[str(n)]["chains"]] == times[n]
     assert runs["3"]["query.first"]["rows"] == runs["7"]["query.first"]["rows"] == 1
     assert (runs["3"]["peak_rss_mb"], runs["7"]["peak_rss_mb"]) == (1.0, 2.0)
+    assert (runs["3"]["load_peak_rss_mb"], runs["7"]["load_peak_rss_mb"]) == (0.5, 1.5)
 
 
 def test_bench_with_query_dir(tmp_path, capsys):

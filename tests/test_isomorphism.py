@@ -116,7 +116,7 @@ def test_generated_graph_with_a_thousand_blank_nodes():
         (x for x in parsed.triples if isinstance(x.subject, BlankNode) and isinstance(x.object, Literal)),
     )[:2]
     assert a.subject != b.subject and a.object != b.object
-    swapped = parsed.triples - {a, b} | {
+    swapped = parsed.triples.keys() - {a, b} | {
         Triple(a.subject, a.predicate, b.object),
         Triple(b.subject, b.predicate, a.object),
     }

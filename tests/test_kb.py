@@ -1,6 +1,8 @@
 import random
 from collections import Counter
 from decimal import Decimal
+from itertools import groupby
+from operator import itemgetter
 from types import SimpleNamespace
 
 import pytest
@@ -22,7 +24,7 @@ from ssdkb.kb import (
 from ssdkb.model import PhaseKind, age_in_months
 from ssdkb.taxonomy import core_taxonomy
 from ssdkb.terms import RDF_TYPE, BlankNode, Iri, Literal, aut, local_name, ssd
-from ssdkb.turtle import Triple, parse_turtle
+from ssdkb.turtle import Triple, parse_turtle, serialize_turtle
 
 
 def test_fig3_lifts_to_typed_model(fig3_kb):
@@ -102,7 +104,7 @@ def test_lift_takes_the_least_of_several_values(reverse):
     # least in term order, in whichever order the graph's triples come:
     # they go in as a list, and the store puts them in term order.
     graph = load_graph("fig3.ttl")
-    triples = graph.triples | {Triple(ssd("paul"), vocab.HAS_CONDITION, ssd("adhd"))}
+    triples = graph.triples.keys() | {Triple(ssd("paul"), vocab.HAS_CONDITION, ssd("adhd"))}
     graph.triples = sorted(triples, reverse=reverse)
     kb = graph_to_kb(graph)
     values = [t.object for t in kb.store.subjects(vocab.HAS_CONDITION)[ssd("paul")]]
@@ -135,6 +137,39 @@ def test_lift_builds_the_store_in_term_order(shuffled):
     assert Counter(store.all) == Counter(graph.triples)
     assert store.all == sorted(store.all)
     assert all(found == sorted(found) for found in _lists(store))
+
+
+def _split_blocks(text: str) -> str:
+    """`text`, a canonical corpus, with the last pair of each subject's
+    block moved into a statement of its own at the end."""
+    prefixes, *blocks = text.split("\n\n")
+    heads, tails = [], []
+    for block in blocks:
+        rest, sep, last = block.rpartition(" ;\n    ")
+        if sep:
+            heads.append(rest + " .")
+            tails.append(f"{block.split(' ', 1)[0]} {last.rstrip()}")
+        else:
+            heads.append(block.rstrip())
+    return "\n\n".join([prefixes, *heads, *tails]) + "\n"
+
+
+def test_lift_does_not_depend_on_the_order_of_the_triples():
+    # in the text's order, shuffled, and with each subject's triples in two
+    # statements apart: two runs that the lift must join
+    text = serialize_turtle(generate_graph(30, GenProfile(seed=5)))
+    kb = graph_to_kb(parse_turtle(text))
+    shuffled = parse_turtle(text)
+    order = list(shuffled.triples)
+    random.Random(5).shuffle(order)
+    shuffled.triples = dict.fromkeys(order)
+    split = parse_turtle(_split_blocks(text))
+    runs = sum(1 for _ in groupby(split.triples, itemgetter(0)))
+    assert runs > len({t[0] for t in split.triples})
+    for graph in (shuffled, split):
+        again = graph_to_kb(graph)
+        assert again.studies == kb.studies
+        assert again.store.all == kb.store.all
 
 
 def test_materialized_store_appends_its_triples_in_term_order():
@@ -211,9 +246,9 @@ def test_materialize_extends_the_store_and_leaves_the_parent():
 
     mat = materialize_types(kb)
     assert mat.inferred
-    assert Counter(kb.store.all) == Counter(kb.graph.triples)
+    assert Counter(kb.store.all) == Counter(kb.graph.triples.keys())
     assert _tables(kb.store) == asserted
-    union = kb.graph.triples | mat.inferred
+    union = kb.graph.triples.keys() | mat.inferred
     assert Counter(mat.store.all) == Counter(union)
     assert _tables(mat.store) == _tables(TripleIndex(union))
     assert mat.index() is mat.store
@@ -266,7 +301,7 @@ def test_subject_table_built_at_first_lookup_matches_an_eager_build(parent_first
         assert _tables(kb.store) == _tables(reference_store(graph.triples))
     mat = materialize_types(kb)
     assert _tables(kb.store) == _tables(reference_store(graph.triples))
-    union = graph.triples | mat.inferred
+    union = graph.triples.keys() | mat.inferred
     assert _tables(mat.store) == _tables(reference_store(union))
     again = materialize_types(mat)
     assert _tables(again.store) == _tables(reference_store(union | again.inferred))

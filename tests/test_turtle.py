@@ -211,7 +211,7 @@ def test_serializer_canonical_shape():
 def test_empty_graph_serializes_to_prefixes_only():
     text = serialize_turtle(TripleGraph())
     assert "@prefix" in text
-    assert parse_turtle(text).triples == set()
+    assert parse_turtle(text).triples == {}
 
 
 @given(st.text())
@@ -260,7 +260,7 @@ _triples = st.sets(
 
 @given(_triples)
 def test_round_trip_random_graphs(triples):
-    graph = TripleGraph(triples=set(triples))
+    graph = TripleGraph(triples=dict.fromkeys(triples))
     text = serialize_turtle(graph)
     assert_same_text(text, reference_serialize(graph))
     again = parse_turtle(text)
@@ -311,16 +311,23 @@ def test_redefined_prefix_applies_to_later_names():
     def s(ns, local):
         return Iri(f"http://e.org/{ns}#{local}")
 
-    assert graph.triples == {
+    assert list(graph.triples) == [
         Triple(s("a", "x"), s("a", "p"), s("a", "y")),
         Triple(s("b", "x"), s("b", "p"), s("b", "y")),
-    }
+    ]
     assert graph.prefix_table == {"s": "http://e.org/b#"}
 
 
 # Turtle-significant characters plus a few whole tokens, so that some
 # inputs get past the first statement.
-_TURTLE_PIECES = list('@prefix:_ab01.;"\\#<>\n \t-+^é') + ["@prefix s: <x> .", "s:a ", "<x> "]
+# `\xa0`, `\x85`, `\x1c` and `\u2028` are whitespace both to `str.split()`,
+# which the line reader splits a line with, and to the scanner's `\s`; these
+# pieces keep the two in step.
+_TURTLE_PIECES = list('@prefix:_ab01.;"\\#<>\n \t-+^é\xa0\x85\x1c\u2028') + [
+    "@prefix s: <x> .",
+    "s:a ",
+    "<x> ",
+]
 _turtle_text = st.lists(st.sampled_from(_TURTLE_PIECES), max_size=40).map("".join)
 
 
@@ -334,7 +341,7 @@ def test_parse_turtle_is_total(text):
 
 
 # --- reference reader ---
-# The token-loop reader as it was before the pair regexes: one Python step
+# The token-loop reader as it was before any faster path: one Python step
 # per token. `parse_turtle` must give the same graph, or the same error at
 # the same line and column, on every text.
 
@@ -387,7 +394,7 @@ class ReferenceReader:
         m = next(tokens)
         while True:
             predicate = self.predicate(m)
-            triples.add(Triple(subject, predicate, self.term(next(tokens))))
+            triples[Triple(subject, predicate, self.term(next(tokens)))] = None
             m = next(tokens)
             kind = m.lastgroup
             if kind == "SEMI":
@@ -469,12 +476,13 @@ def reference_parse_turtle(text: str) -> TripleGraph:
 
 
 def outcome(parse, text: str):
-    """What `parse` makes of `text`: the triples and prefixes, or the error."""
+    """What `parse` makes of `text`: the triples in the order of the graph
+    and the prefixes, or the error."""
     try:
         graph = parse(text)
     except TurtleSyntaxError as exc:
         return str(exc), exc.line, exc.column
-    return graph.triples, graph.prefix_table
+    return list(graph.triples), graph.prefix_table
 
 
 def assert_reads_like_reference(text: str) -> None:
@@ -510,6 +518,44 @@ def assert_reads_like_reference(text: str) -> None:
         _S + "s:a s:p s:o .\n@prefix s: <http://e.org/b#> .\ns:a s:p s:o .",
         _S + "s:a s:p s:o . nope:a s:p s:o .",
         _S + "s:a s:p s:o . s:b s:p s:o ; s:q",
+        # separators glued to a token
+        _S + "s:a s:p s:o;s:p 1 .",
+        _S + "s:a s:p 1.",
+        _S + "s:a s:p s:o.",
+        _S + "s:a s:p s:o;\n  s:q 1.5;\n  s:r _:b.\ns:b a s:C;.",
+        _S + "s:a s:p 1..",
+        _S + "s:a s:p s:o.;",
+        _S + "s:a s:p ;",
+        _S + "s:a s:p. s:o .",
+        _S + "s:a s:p\n.",
+        _S + 's:a s:p "x";s:q <http://e.org/o>.',
+        # a comment right after a whole token, mid-statement
+        _S + "s:a # c\n s:p s:o .",
+        _S + "s:a s:p # c\n s:o .",
+        _S + "s:a s:p s:o # c ; .\n ; s:q s:o .",
+        _S + "s:a s:p s:o ; # c\n .",
+        _S + "s:a s:p s:o#c\n .",
+        _S + "s:a s:p s:o .#c\ns:b s:p s:o .",
+        # a statement that starts mid-line after another statement's `.`
+        _S + "s:a s:p s:o . s:b s:p s:o .\n",
+        _S + "s:a s:p s:o.s:b s:p s:o .",
+        _S + 's:a s:p s:o . s:b s:p "x y" . s:c s:p s:o .\ns:d s:p s:o .',
+        _S + "s:a s:p s:o . s:b s:p s:o ; s:q s:o2 . s:c s:p s:o s:d .",
+        _S + "s:a s:p s:o . s:b s:p s:o;. s:c a s:p .",
+        _S + "s:a s:p s:o . s:b s:p s:o . @prefix s: <http://e.org/b#> . s:c s:p s:o .",
+        # `@prefix` redefined mid-document, and written without spaces
+        _S + "s:a s:p s:o .\n@prefix s:<http://e.org/c#>.\ns:a s:p s:o .",
+        "@prefix s:<http://e.org/a#>.s:a s:p s:o .\n@prefix s:<http://e.org/b#>. s:a s:p s:o .",
+        _S + "s:a s:p s:o ;\n@prefix s: <http://e.org/b#> .",
+        # strings that hold spaces or `#`
+        _S + 's:a s:p "x y" ; s:q "a # b" ; s:r "#" ; s:t "# c" .',
+        _S + 's:a s:p "x #y" .\ns:b s:p "a;b." .',
+        _S + 's:a s:p "x\\" y" .',
+        # whitespace that is not a space between tokens, and in a comment
+        _S + "s:a\xa0s:p\x85s:o\x1c;\u2028s:q\ts:o\r\n.",
+        _S + "\xa0s:a s:p s:o\u2028.\x85",
+        _S + "s:a s:p s:o . # c\u2028s:b s:p s:o .\ns:c s:p s:o .",
+        _S + "s:a s:p s:o # c\u2028.\n.",
     ],
 )
 def test_reader_matches_reference(text):
@@ -542,8 +588,8 @@ def test_reader_matches_reference_on_short_texts(text):
     assert_reads_like_reference(text)
 
 
-def test_pair_regexes_read_every_statement_of_a_corpus(monkeypatch):
-    # the token loop reads only the directives and the end of the text
+def _token_loop_starts(monkeypatch, text: str) -> tuple[list[int], TripleGraph]:
+    """Where the token loop starts to read `text`, and the graph read."""
     starts = []
     read_tokens = turtle._Reader.read_tokens
 
@@ -552,6 +598,30 @@ def test_pair_regexes_read_every_statement_of_a_corpus(monkeypatch):
         return read_tokens(self, pos)
 
     monkeypatch.setattr(turtle._Reader, "read_tokens", counted)
-    graph = parse_turtle(_CORPUS_20)
-    assert len(starts) == len(graph.prefix_table) + 1
-    assert graph.triples == reference_parse_turtle(_CORPUS_20).triples
+    return starts, parse_turtle(text)
+
+
+# a comment after every statement
+_COMMENTED_20 = _CORPUS_20.replace(" .\n", " . # a statement ends here\n")
+# `str.split` cuts the string in two, so the line reader refuses this
+_REFUSED = 'ssd:x ssd:note "two words" .'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _CORPUS_20,
+        _COMMENTED_20,
+        _COMMENTED_20.replace("\n\n", f"\n\n{_REFUSED}\n", 3),
+        # a refused statement after another on its line
+        _COMMENTED_20.replace("\n\n", f"\n\nssd:x ssd:note 1 . {_REFUSED} # c\n", 3),
+    ],
+    ids=["corpus", "commented", "refused", "refused-mid-line"],
+)
+def test_token_loop_reads_only_what_the_line_reader_refuses(monkeypatch, text):
+    # the directives, each statement the line reader refuses, and the end
+    # of the text
+    refused = re.finditer(f"@prefix|{re.escape(_REFUSED)}", text)
+    starts, graph = _token_loop_starts(monkeypatch, text)
+    assert starts == [m.start() for m in refused] + [len(text)]
+    assert list(graph.triples) == list(reference_parse_turtle(text).triples)
