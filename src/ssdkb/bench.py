@@ -117,11 +117,11 @@ def _build_tables(store: TripleIndex) -> None:
     store.holds(None)
 
 
-def _load(n: int, profile: GenProfile) -> tuple[dict, KnowledgeBase, float]:
+def _load(n: int) -> tuple[dict, KnowledgeBase, float]:
     """One load chain's layer seconds, the kb it built, and the peak RSS
     before its table build."""
     out: dict = {}
-    graph = _timed(out, "generate.graph_s", generate_graph, n, profile)
+    graph = _timed(out, "generate.graph_s", generate_graph, n, GenProfile())
     text = _timed(out, "turtle.serialize_s", serialize_turtle, graph)
     # the generated graph and the text go as soon as they are read, so
     # that peak_rss_mb counts what a command that loads a corpus holds
@@ -137,7 +137,7 @@ def _load(n: int, profile: GenProfile) -> tuple[dict, KnowledgeBase, float]:
     return out, kb, load_peak_mb
 
 
-def bench_sizes(sizes: list[int], profile: GenProfile, queries: dict) -> dict:
+def bench_sizes(sizes: list[int], queries: dict) -> dict:
     """Per size, as a string: every layer's median seconds over `LOAD_RUNS`
     load chains, every query's timings on the size's first kb, the peak
     RSS after them and after its first load, and each chain's layer
@@ -147,7 +147,7 @@ def bench_sizes(sizes: list[int], profile: GenProfile, queries: dict) -> dict:
     for i in range(LOAD_RUNS):
         for n in sizes:
             kb = None  # the previous chain's kb goes before the next is built
-            layers, kb, load_peak_mb = _load(n, profile)
+            layers, kb, load_peak_mb = _load(n)
             chains[n].append(layers)
             if i == 0:
                 answers[n] = {name: _answer(run, kb) for name, run in queries.items()}
@@ -163,7 +163,7 @@ def bench_sizes(sizes: list[int], profile: GenProfile, queries: dict) -> dict:
     }
 
 
-def run_bench(sizes: list[int], profile: GenProfile, queries: dict) -> dict:
+def run_bench(sizes: list[int], queries: dict) -> dict:
     """The report: `bench_sizes` over the sizes, smallest first, between
     two timings of the control loop."""
     sizes = sorted(set(sizes))
@@ -172,9 +172,9 @@ def run_bench(sizes: list[int], profile: GenProfile, queries: dict) -> dict:
         "schema": 1,
         "python": platform.python_version(),
         "machine": platform.platform(),
-        "seed": profile.seed,
+        "seed": GenProfile().seed,
         "sizes": sizes,
-        "runs": bench_sizes(sizes, profile, queries),
+        "runs": bench_sizes(sizes, queries),
         "control_ms": {"before": control_before, "after": _control_ms()},
     }
     if len(sizes) > 1:

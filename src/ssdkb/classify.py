@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from . import vocab
 from .kb import KnowledgeBase, validate_kb
 from .model import MBDItem, Study, Violation
 from .taxonomy import Taxonomy
-from .terms import Iri, RDF_TYPE, Term, gc_paused
+from .terms import Iri, RDF_TYPE, gc_paused
 from .turtle import Triple
 
 
@@ -30,11 +29,12 @@ def phase_signature(study: Study) -> str:
         raise ClassificationError(
             f"study {study.id} is multiple-baseline; signatures apply per item"
         )
-    return "".join(p.kind.letter for p in sorted(study.phases, key=lambda p: p.position))
+    return item_signature(study)
 
 
-def item_signature(item: MBDItem) -> str:
-    return "".join(p.kind.letter for p in sorted(item.phases, key=lambda p: p.position))
+def item_signature(item: MBDItem | Study) -> str:
+    """`phase_signature` for an MBD item, or for a study without its MBD check."""
+    return "".join(p.kind.value for p in sorted(item.phases, key=lambda p: p.position))
 
 
 # design class -> the phase signatures it takes, most specific entries
@@ -137,13 +137,10 @@ def classify_mbd(study: Study) -> Iri | Violation:
                     f"item signature {sig!r} does not match item type {item_type}",
                 )
 
-    def values(extract: Callable[[MBDItem], Optional[Term]]) -> list[Optional[Term]]:
-        return [extract(item) for item in study.mbd_items]
-
     dims = {
-        "outcome": values(lambda i: i.outcome),
-        "setting": values(lambda i: i.setting),
-        "subject": values(lambda i: i.subject),
+        "outcome": [item.outcome for item in study.mbd_items],
+        "setting": [item.setting for item in study.mbd_items],
+        "subject": [item.subject for item in study.mbd_items],
     }
     varying = []
     for name, vals in dims.items():

@@ -3,7 +3,7 @@
 Subcommands: validate, classify, query, gen, bench, stats.
 Exit codes: 0 success, 1 validation violations, 2 parse/usage errors.
 
-`ssdkb bench [-n N]... [--profile P] [QUERY_FILE ...]` prints one JSON
+`ssdkb bench [-n N]... [QUERY_FILE ...]` prints one JSON
 document: per corpus size, the median time over three loads of each load
 layer and of one full collection, the time of each `.dl`/`.rq` query file
 cold and warm, and the process's peak RSS; see `ssdkb.bench`.
@@ -104,9 +104,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    profile = GenProfile.from_file(args.profile) if args.profile else GenProfile()
     queries = load_queries(args.query_files)
-    print(json.dumps(run_bench(args.count or [1000], profile, queries), indent=2))
+    print(json.dumps(run_bench(args.count or [1000], queries), indent=2))
     return 0
 
 
@@ -171,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "-n", "--count", type=_study_count, action="append", help="corpus size (repeatable)"
     )
-    p.add_argument("--profile")
     p.add_argument("query_files", nargs="*", type=_query_file, metavar="QUERY_FILE")
     p.set_defaults(func=_cmd_bench)
 

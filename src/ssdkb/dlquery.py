@@ -11,14 +11,17 @@ Grammar (left-associative `and`):
            | '(' Expr ')'
 
 Evaluation resolves every name first, so an unknown name raises even
-where an empty conjunct makes the rest moot. A facet is a range of the
-store's sorted numeric table for the property. An `and` evaluates its
-other conjuncts bottom-up into a seed, then takes each `some` conjunct
-either bottom-up (build the filler's members, join them through the
-property, intersect) or top-down (test each seed member through its
-subject lookups), whichever the store's per-predicate statistics say
-visits fewer nodes. The store builds those tables at the first query
-that needs them.
+where an empty conjunct makes the rest moot. A value restriction
+resolves to a set, as a named class does: the subjects that reach its
+individual through the property. A facet is a range of the store's
+sorted numeric table for the property, and a top-down test compares
+values with its bound without building that set. An `and` evaluates
+its other conjuncts bottom-up into a seed, then takes each `some`
+conjunct either bottom-up (build the filler's members, join them
+through the property, intersect) or top-down (test each seed member
+through its subject lookups), whichever the store's per-predicate
+statistics say visits fewer nodes. The store builds those tables at
+the first query that needs them.
 """
 
 from __future__ import annotations
@@ -246,9 +249,9 @@ class DlEvaluator:
     def _resolve(self, expr: ClassExpr) -> tuple:
         """`expr` with every name resolved, once, so that an unknown name
         raises before anything is evaluated. A node is ("set", members),
-        ("value", prop, individual, triples), ("range", prop, op, bound,
-        subjects in range), ("some", prop, filler, expr) or ("and",
-        conjuncts)."""
+        which a named class, `{a, b}` and `p value c` all become, ("range",
+        prop, op, bound, subjects in range), ("some", prop, filler, expr) or
+        ("and", conjuncts)."""
         kind = type(expr)
         if kind is And:
             # a conjunction chain leans left, and a bracketed one may lean
@@ -269,8 +272,8 @@ class DlEvaluator:
         if kind is Some:
             return ("some", prop, self._resolve(expr.filler), expr)
         if kind is Value:
-            individual = self.resolve_individual(expr.individual)
-            return ("value", prop, individual, self.store.objects(prop).get(individual, ()))
+            triples = self.store.objects(prop).get(self.resolve_individual(expr.individual), ())
+            return ("set", {s for s, _, _ in triples})
         if kind is DataSome:
             values, subjects = self.store.numbers(prop)
             start, stop = _RANGES[expr.op](values, expr.bound)
@@ -284,8 +287,6 @@ class DlEvaluator:
         kind = node[0]
         if kind == "set":
             return node[1]
-        if kind == "value":
-            return {s for s, _, _ in node[3]}
         if kind == "range":
             return set(node[4])
         if kind == "some":
@@ -346,8 +347,8 @@ class DlEvaluator:
         kind = node[0]
         if kind == "set":
             return 0, len(node[1]), 1
-        if kind == "value" or kind == "range":
-            return len(node[-1]), len(node[-1]), 1
+        if kind == "range":
+            return len(node[4]), len(node[4]), 1
         if kind == "some":
             work, size, probe = self._estimate(node[2])
             count, subjects, objects = self.store.stats(node[1])
@@ -379,9 +380,6 @@ class DlEvaluator:
             tests = [self._test(c) for c in node[1]]
             return lambda x: all(test(x) for test in tests)
         triples_of = self.store.subjects(node[1]).get
-        if kind == "value":
-            individual = node[2]
-            return lambda x: individual in map(_OBJECT, triples_of(x, ()))
         if kind == "some":
             inner = self._test(node[2])
             return lambda x: any(map(inner, map(_OBJECT, triples_of(x, ()))))

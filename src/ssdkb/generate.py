@@ -28,17 +28,7 @@ CONDITIONS = ("autism", "adhd", "anxiety", "aphasia", "dyslexia")
 GENDERS = ("male", "female")
 SETTINGS = ("home", "school", "playground", "clinic", "workplace")
 
-DESIGNS = (
-    "AB",
-    "ABAB",
-    "ABAB_F",
-    "AlternatingTreatment",
-    "AcrossSettingMBD",
-    "AcrossSubjectMBD",
-    "AcrossOutcomeMBD",
-)
-
-# asserted class written into the annotations for each generated design
+# the designs a profile may mix, each with the class its studies assert
 DESIGN_CLASS = {
     "AB": vocab.AB_DESIGN,
     "ABAB": vocab.ABAB_DESIGN,
@@ -74,7 +64,7 @@ class GenProfile:
     seed: int = 1
 
     def check(self) -> None:
-        unknown = set(self.design_mix) - set(DESIGNS)
+        unknown = set(self.design_mix) - set(DESIGN_CLASS)
         if unknown:
             raise ProfileError(f"unknown designs in mix: {sorted(unknown)}")
         if any(w < 0 for w in self.design_mix.values()):
@@ -174,7 +164,7 @@ def _make_phases(
 ) -> list[Phase]:
     phases = []
     for pos, letter in enumerate(sig, start=1):
-        kind = {p.value: p for p in PhaseKind}[letter]
+        kind = PhaseKind(letter)
         if kind is PhaseKind.SIMPLE_INTERVENTION:
             types: tuple[Term, ...] = (rng.choice(interventions),)
         elif kind is PhaseKind.ALTERNATING_INTERVENTION:

@@ -386,16 +386,9 @@ def graph_to_kb(graph: TripleGraph, taxonomy: Taxonomy | None = None) -> Knowled
         }
     )
 
-    phase_cache: dict[Term, Phase] = {}
-
-    def phase_of(node: Term) -> Phase:
-        if node not in phase_cache:
-            phase_cache[node] = _read_phase(node, by_s[node])
-        return phase_cache[node]
-
     def phases_of(rows: list[Triple]) -> tuple[Phase, ...]:
         """The phases of a study or an MBD item, by position."""
-        phases = (phase_of(p) for p in _objects(rows, vocab.HAS_PHASE))
+        phases = (_read_phase(p, by_s[p]) for p in _objects(rows, vocab.HAS_PHASE))
         return tuple(sorted(phases, key=lambda ph: ph.position))
 
     # results grouped by the phase they reference

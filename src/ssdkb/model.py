@@ -18,10 +18,6 @@ class PhaseKind(Enum):
     ALTERNATING_INTERVENTION = "A"
     FOLLOW_UP = "F"
 
-    @property
-    def letter(self) -> str:
-        return self.value
-
 
 PHASE_CLASS_TO_KIND = {
     vocab.BASELINE_PHASE: PhaseKind.BASELINE,
@@ -97,12 +93,6 @@ class Study:
         if self.is_mbd:
             return tuple(p for item in self.mbd_items for p in item.phases)
         return self.phases
-
-    def find_phase(self, ref: Term) -> Optional[Phase]:
-        for phase in self.all_phases():
-            if phase.id == ref:
-                return phase
-        return None
 
 
 @dataclass(frozen=True)
@@ -227,8 +217,10 @@ def validate_study(study: Study) -> list[Violation]:
                 )
             )
 
+    # each id's first phase, as a search in phase order would find it
+    phases = {phase.id: phase for phase in reversed(study.all_phases())}
     for result in study.results:
-        phase = study.find_phase(result.phase_ref)
+        phase = phases.get(result.phase_ref)
         if phase is None:
             out.append(
                 Violation(

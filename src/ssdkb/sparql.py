@@ -43,9 +43,6 @@ class SparqlSyntaxError(Exception):
 class Var:
     name: str
 
-    def __str__(self) -> str:
-        return f"?{self.name}"
-
 
 PatternTerm = Union[Term, Var]
 

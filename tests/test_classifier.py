@@ -16,7 +16,7 @@ from ssdkb.classify import (
     phase_signature,
 )
 from ssdkb.kb import kb_to_graph
-from ssdkb.model import MBDItem, Phase, PhaseKind, Study, Violation
+from ssdkb.model import MBDItem, Phase, PhaseKind, Study, Violation, validate_study
 from ssdkb.taxonomy import core_taxonomy
 from ssdkb.terms import RDF_TYPE, aut, ssd
 from ssdkb.turtle import Triple
@@ -285,6 +285,27 @@ def test_mbd_study_classification_closes_upward():
     assert vocab.ACROSS_SETTING_MBD in classes
     assert vocab.MULTIPLE_BASELINE_DESIGN in classes
     assert vocab.SINGLE_SUBJECT_DESIGN in classes
+
+
+@pytest.mark.parametrize(
+    "setting, item_type, code",
+    [
+        ("school", vocab.SIMPLE_DESIGN, "MBDMultipleDimensions"),
+        ("home", vocab.ABAB_DESIGN, "MBDUnknownItemType"),
+    ],
+)
+def test_valid_mbd_study_of_no_across_class_warns(setting, item_type, code):
+    # a study that validates but fits no across-X class is a multiple
+    # baseline design, with the reason as a warning
+    items = [
+        _item(0, ssd("paul"), ssd("home"), aut("caw")),
+        _item(1, ssd("mary"), ssd(setting), aut("caw")),
+    ]
+    study = _mbd(items, item_type)
+    assert validate_study(study) == []
+    outcome = classify_study(study, TAX)
+    assert outcome.classes == {vocab.MULTIPLE_BASELINE_DESIGN, vocab.SINGLE_SUBJECT_DESIGN}
+    assert [w.code for w in outcome.warnings] == [code]
 
 
 # --- materialization ---

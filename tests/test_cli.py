@@ -6,7 +6,6 @@ import pytest
 from conftest import FIXTURES, QUERIES
 from ssdkb import bench
 from ssdkb.cli import main
-from ssdkb.generate import GenProfile
 
 
 def fixture(name):
@@ -86,6 +85,36 @@ def test_classify_fig3(capsys):
     assert main(["classify", fixture("fig3.ttl")]) == 0
     out = capsys.readouterr().out
     assert out == "ssd01: ABAB_Design, WithdrawalDesign, SingleSubjectDesign\n"
+
+
+_TWO_DIMENSIONS = """\
+@prefix ssd: <http://bdi.si.ehu.es/bdi/ontologies/SSDOnt/SSDOnt#> .
+ssd:m a ssd:MultipleBaselineDesign ; ssd:hasMBDItemType ssd:SimpleDesign ;
+    ssd:hasMBDItem ssd:i1 ; ssd:hasMBDItem ssd:i2 .
+ssd:i1 a ssd:MBDItem ; ssd:hasParticipant ssd:paul ; ssd:hasSetting ssd:home ;
+    ssd:hasPhase ssd:i1_b ; ssd:hasPhase ssd:i1_i .
+ssd:i2 a ssd:MBDItem ; ssd:hasParticipant ssd:mary ; ssd:hasSetting ssd:school ;
+    ssd:hasPhase ssd:i2_b ; ssd:hasPhase ssd:i2_i .
+ssd:i1_b a ssd:BaselinePhase ; ssd:hasPosition 1 .
+ssd:i2_b a ssd:BaselinePhase ; ssd:hasPosition 1 .
+ssd:i1_i a ssd:SimpleInterventionPhase ; ssd:hasPosition 2 ; ssd:hasInterventionType ssd:t .
+ssd:i2_i a ssd:SimpleInterventionPhase ; ssd:hasPosition 2 ; ssd:hasInterventionType ssd:t .
+"""
+
+
+def test_classify_prints_each_warning_to_stderr(tmp_path, capsys):
+    # the items vary in participant and setting, so the study is valid but
+    # of no across-X class
+    path = tmp_path / "mbd.ttl"
+    path.write_text(_TWO_DIMENSIONS)
+    assert main(["classify", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "m: MultipleBaselineDesign, SingleSubjectDesign\n"
+    assert captured.err == (
+        "warning: MBDMultipleDimensions"
+        " <http://bdi.si.ehu.es/bdi/ontologies/SSDOnt/SSDOnt#m>"
+        " dimensions ['setting', 'subject'] all vary; exactly one may\n"
+    )
 
 
 def test_classify_broken_exits_one(capsys):
@@ -229,7 +258,7 @@ def test_bench_reports_each_layers_median(monkeypatch):
     loads = []
     times = {3: [5.0, 4.0, 1.0], 7: [1.0, 2.0, 9.0]}
 
-    def load(n, profile):
+    def load(n):
         loads.append(n)
         i = loads.count(n) - 1
         return dict.fromkeys(BENCH_LAYERS, times[n][i]), (n, i), len(loads) - 0.5
@@ -240,7 +269,7 @@ def test_bench_reports_each_layers_median(monkeypatch):
         bench.resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=1024 * len(loads))
     )
     first_kb = {"query.first": lambda kb: [kb] if kb[1] == 0 else []}
-    runs = bench.bench_sizes([3, 7], GenProfile(seed=1), first_kb)
+    runs = bench.bench_sizes([3, 7], first_kb)
     assert loads == [3, 7, 3, 7, 3, 7]
     assert [runs["3"][layer] for layer in BENCH_LAYERS] == [4.0] * len(BENCH_LAYERS)
     assert [runs["7"][layer] for layer in BENCH_LAYERS] == [2.0] * len(BENCH_LAYERS)
@@ -283,6 +312,15 @@ def test_bench_rejects_bad_arguments(argv, message, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: ssdkb bench")
     assert message in err
+
+
+def test_bench_takes_no_profile(capsys):
+    # the bench corpus is always the default profile's; only `gen` reads one.
+    # The top-level parser reports an unknown option, under its own usage line.
+    assert main(["bench", "-n", "2", "--profile", "mix.dl"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: unrecognized arguments: --profile" in captured.err
 
 
 def test_bench_query_syntax_error_exits_two(tmp_path, capsys):

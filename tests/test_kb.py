@@ -10,6 +10,7 @@ import pytest
 from conftest import FIXTURES, load_graph, load_kb
 from ssdkb import vocab
 from ssdkb.classify import materialize_types
+from ssdkb.cli import main
 from ssdkb.generate import GenProfile, generate_graph, generate_studies
 from ssdkb.kb import (
     KbStats,
@@ -79,6 +80,60 @@ def test_dangling_result_phase_reference():
     )
     with pytest.raises(SchemaError):
         graph_to_kb(parse_turtle(text))
+
+
+# one node each that the lift cannot read: (its statements, the error's
+# message, the subject it names)
+_SCHEMA_ERRORS = [
+    ('ssd:r a ssd:Result ; ssd:hasValue "ten" .', "hasValue must be numeric", "r"),
+    (
+        "ssd:s a ssd:AB_Design ; ssd:hasParticipant ssd:p .\n"
+        "ssd:p a ssd:Participant ; ssd:hasAge ssd:age .\n"
+        "ssd:age a ssd:AgeDescription ; ssd:months 4 .",
+        "age description lacks a years value",
+        "age",
+    ),
+    (
+        "ssd:s a ssd:AB_Design ; ssd:hasPhase ssd:ph .\nssd:ph ssd:hasPosition 1 .",
+        "phase node has no recognized phase type",
+        "ph",
+    ),
+    (
+        "ssd:s a ssd:AB_Design ; ssd:hasPhase ssd:ph .\nssd:ph a ssd:BaselinePhase .",
+        "phase lacks a hasPosition value",
+        "ph",
+    ),
+    ("ssd:r a ssd:Result ; ssd:occursIn ssd:i .", "result lacks a hasValue", "r"),
+    ("ssd:r a ssd:Result ; ssd:hasValue 1.0 .", "result lacks an occursIn instant", "r"),
+    (
+        "ssd:r a ssd:Result ; ssd:hasValue 1.0 ; ssd:occursIn ssd:i .\nssd:i a ssd:Instant .",
+        "instant lacks a hasValue",
+        "i",
+    ),
+    (
+        "ssd:r a ssd:Result ; ssd:hasValue 1.0 ; ssd:occursIn ssd:i .\nssd:i ssd:hasValue 1 .",
+        "result lacks isResultOfPhase",
+        "r",
+    ),
+    ("ssd:s a ssd:AB_Design ; ssd:hasMBDItemType 3 .", "hasMBDItemType must name a class", "s"),
+]
+_SSD_PREFIX = "@prefix ssd: <http://bdi.si.ehu.es/bdi/ontologies/SSDOnt/SSDOnt#> .\n"
+
+
+@pytest.mark.parametrize("statements, message, subject", _SCHEMA_ERRORS)
+def test_lift_names_the_node_it_cannot_read(statements, message, subject):
+    with pytest.raises(SchemaError, match=message) as err:
+        graph_to_kb(parse_turtle(_SSD_PREFIX + statements + "\n"))
+    assert err.value.subject == ssd(subject)
+
+
+def test_validate_exits_two_on_a_node_it_cannot_read(tmp_path, capsys):
+    path = tmp_path / "bad.ttl"
+    path.write_text(_SSD_PREFIX + _SCHEMA_ERRORS[0][0] + "\n")
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: hasValue must be numeric")
 
 
 def test_empty_graph_gives_empty_kb():

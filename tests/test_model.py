@@ -13,6 +13,7 @@ from ssdkb.model import (
     PhaseKind,
     Result,
     Study,
+    Violation,
     age_in_months,
     validate_study,
 )
@@ -62,20 +63,39 @@ def test_alternating_phase_needs_two_treatments():
     assert codes == ["AlternatingNeedsTwoTreatments"]
 
 
-def test_mbd_needs_two_items():
-    item = MBDItem(
-        id=ssd("i1"),
+def _item(name, setting):
+    return MBDItem(
+        id=ssd(name),
         subject=ssd("paul"),
-        setting=ssd("home"),
+        setting=ssd(setting),
         outcome=aut("correct_answers_wh"),
         phases=(
             phase(1, PhaseKind.BASELINE),
             phase(2, PhaseKind.SIMPLE_INTERVENTION, [aut("weekendInterview")]),
         ),
     )
+
+
+def test_mbd_needs_two_items():
+    item = _item("i1", "home")
     study = Study(id=ssd("m1"), mbd_items=(item,), mbd_item_type=vocab.SIMPLE_DESIGN)
     codes = [v.code for v in validate_study(study)]
     assert "MBDNeedsTwoItems" in codes
+
+
+def test_mbd_needs_an_item_type():
+    study = Study(id=ssd("m1"), mbd_items=(_item("i1", "home"), _item("i2", "school")))
+    assert validate_study(study) == [
+        Violation("MBDMissingItemType", ssd("m1"), "MBD study lacks an item type")
+    ]
+
+
+def test_phases_and_items_both_present():
+    study = simple_ab(
+        mbd_items=(_item("i1", "home"), _item("i2", "school")),
+        mbd_item_type=vocab.SIMPLE_DESIGN,
+    )
+    assert [v.code for v in validate_study(study)] == ["PhasesAndItemsBothPresent"]
 
 
 def test_position_gaps_flagged():
@@ -138,6 +158,14 @@ def test_months_out_of_range():
     study = simple_ab(participants=(participant,))
     codes = [v.code for v in validate_study(study)]
     assert codes == ["MonthsOutOfRange"]
+
+
+def test_negative_years():
+    participant = Participant(id=ssd("kid"), diagnosed_at_age=AgeDescription(years=-1))
+    study = simple_ab(participants=(participant,))
+    assert validate_study(study) == [
+        Violation("MonthsOutOfRange", ssd("kid"), "negative years -1")
+    ]
 
 
 def _result(n, phase_ref, itype=None):

@@ -476,7 +476,7 @@ _EX_KB = graph_to_kb(
         "ex:a ex:score 2 ; ex:label \"x\" .\n"
         "ex:b ex:score 2 ; ex:label \"y\" .\n"
         "ex:c ex:score 1.5 ; ex:label \"x\" .\n"
-        "ex:d ex:score 2 .\n"
+        "ex:d ex:score 2 ; ex:age _:n .\n"
     )
 )
 
@@ -515,13 +515,18 @@ def _ex(name):
         # LIMIT applies after ORDER BY
         ("SELECT ?s ?v WHERE { ?s ex:score ?v } ORDER BY ASC(?v) LIMIT 2", [("c", "1.5"), ("a", "2")]),
         ("SELECT ?s WHERE { ?s ex:score ?v } ORDER BY DESC(?v) LIMIT 1", [("a",)]),
+        # a numeric constant object matches its own datatype
+        ("SELECT ?s WHERE { ?s ex:score 1.5 }", [("c",)]),
+        ("SELECT ?s WHERE { ?s ex:score 2 }", [("a",), ("b",), ("d",)]),
+        # a blank node answer
+        ("SELECT ?s ?n WHERE { ?s ex:age ?n }", [("d", "_:n")]),
     ],
 )
 def test_join_and_order_cases(where, expected):
     query = parse_sparql(f"PREFIX ex: <{_EX}> " + where)
-    rows = eval_sparql(query, _EX_KB).rows
-    assert rows == reference_eval_sparql(query, _EX_KB).rows
-    assert [tuple(local_name(t) if isinstance(t, Iri) else t.lexical for t in row) for row in rows] == expected
+    table = eval_sparql(query, _EX_KB)
+    assert table.rows == reference_eval_sparql(query, _EX_KB).rows
+    assert table.to_tsv().splitlines()[1:] == ["\t".join(row) for row in expected]
 
 
 def test_join_order_takes_a_disconnected_pattern_only_when_no_connected_one_is_left():

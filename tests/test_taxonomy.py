@@ -56,6 +56,11 @@ def test_register_unknown_parent(core):
         core.register(ssd("Whatever"), {ssd("NoSuchClass")})
 
 
+def test_edge_over_unknown_class():
+    with pytest.raises(UnknownClassError, match="edge over unknown class"):
+        Taxonomy(frozenset({ssd("A")}), frozenset({(ssd("A"), ssd("B"))}))
+
+
 def test_two_step_cycle_rejected(core):
     t = core.register(ssd("X"), {vocab.SINGLE_SUBJECT_DESIGN})
     t = t.register(ssd("Y"), {ssd("X")})
