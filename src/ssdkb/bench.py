@@ -7,25 +7,24 @@ run in rounds, each round over every size, so that a change in the
 machine's speed reaches every size alike rather than landing in a growth
 ratio whole. The layer names are those of BENCHMARK.json.
 `classify.materialize_s` includes the validation pass that
-`materialize_types` runs itself. `kb.index_build_s` builds every table
-that the store builds at its first use (`_build_tables`), which no load
-layer builds but for `kb_stats`'s object table of `rdf:type`: otherwise
-the first query that reads a table would pay for it, and its `cold_ms`
-would include that build. The collector is paused for the whole build,
-so it scans none of the load's containers there. `gc.collect_s` is one
-full collection after the build: without it, the first older-generation
-scan of the fresh kb's containers and tables is charged to whichever
-query happens to trigger it.
-Each size's queries run on its first-round kb, and its `peak_rss_mb`,
-the process's high-water mark so far, is read right after them; so the
-first round runs the sizes in ascending order. `load_peak_rss_mb` is the
-same mark read in the first round after `kb_stats` and before the table
-build, so it shows what a load holds, which the tables and the queries
-would hide. Each size also keeps every chain's layer seconds, in the
-order run, under `"chains"`, so that a slow chain behind a median or a
-growth ratio can be told. `control_ms` times a fixed pure-Python loop,
-which no change to the program touches, before the first round and after
-the last: when it moves between two reports, so did the machine.
+`materialize_types` runs itself. `gc.collect_s` is one full collection
+after the load: without it, the first older-generation scan of the
+fresh kb's containers is charged to whichever query happens to trigger
+it.
+Each query file runs on its own fresh store over the triples of the
+size's first-round kb, after one full collection off the clock. Like
+the store that `ssdkb query` loads, it holds `by_p` and nothing built
+from it, so `cold_ms` includes the tables and counts that this one
+query builds, and `warm_ms` reads them built. The size's `peak_rss_mb`,
+the process's high-water mark so far, is read right after its queries,
+so the first round runs the sizes in ascending order.
+`load_peak_rss_mb` is the same mark read in the first round after
+`kb_stats`, so it shows what a load holds, which the queries would hide.
+Each size also keeps every chain's layer seconds, in the order run,
+under `"chains"`, so that a slow chain behind a median or a growth ratio
+can be told. `control_ms` times a fixed pure-Python loop, which no
+change to the program touches, before the first round and after the
+last: when it moves between two reports, so did the machine.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ import platform
 import resource
 import statistics
 import time
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -43,13 +43,11 @@ from .dlquery import eval_dl_query, parse_dl_query
 from .generate import GenProfile, generate_graph
 from .kb import KnowledgeBase, TripleIndex, graph_to_kb, kb_stats, validate_kb
 from .sparql import eval_sparql, parse_sparql
-from .terms import RDF_TYPE, gc_paused
 from .turtle import parse_turtle, serialize_turtle
 
 LAYERS = (
     "generate.graph_s", "turtle.serialize_s", "turtle.parse_s", "kb.lift_s",
-    "model.validate_s", "classify.materialize_s", "kb.stats_s", "kb.index_build_s",
-    "gc.collect_s",
+    "model.validate_s", "classify.materialize_s", "kb.stats_s", "gc.collect_s",
 )
 LOAD_RUNS = 3
 WARM_RUNS = 5
@@ -81,8 +79,10 @@ def _timed(out: dict, layer: str, fn, *args):
 
 
 def _answer(run, kb: KnowledgeBase) -> dict:
-    """One query's first run, the median of the next `WARM_RUNS`, in
-    milliseconds, and its rows."""
+    """One query's first run on a fresh store over `kb`'s triples, the
+    median of the next `WARM_RUNS`, in milliseconds, and its rows."""
+    kb = replace(kb, store=TripleIndex(kb.store.all))
+    gc.collect()
     ms = []
     for _ in range(WARM_RUNS + 1):
         start = time.perf_counter()
@@ -105,21 +105,9 @@ def _control_ms() -> float:
     return round((time.perf_counter() - start) * 1000.0, 3)
 
 
-@gc_paused()
-def _build_tables(store: TripleIndex) -> None:
-    """Each predicate's subject and object tables, each class's members,
-    and the set of nodes that `holds` probes."""
-    for p in store.by_p:
-        store.subjects(p)
-        store.objects(p)
-    for cls in store.objects(RDF_TYPE):
-        store.members(cls)
-    store.holds(None)
-
-
 def _load(n: int) -> tuple[dict, KnowledgeBase, float]:
     """One load chain's layer seconds, the kb it built, and the peak RSS
-    before its table build."""
+    after its load."""
     out: dict = {}
     graph = _timed(out, "generate.graph_s", generate_graph, n, GenProfile())
     text = _timed(out, "turtle.serialize_s", serialize_turtle, graph)
@@ -132,7 +120,6 @@ def _load(n: int) -> tuple[dict, KnowledgeBase, float]:
     kb = _timed(out, "classify.materialize_s", materialize_types, kb)
     _timed(out, "kb.stats_s", kb_stats, kb)
     load_peak_mb = _peak_rss_mb()
-    _timed(out, "kb.index_build_s", _build_tables, kb.store)
     _timed(out, "gc.collect_s", gc.collect)
     return out, kb, load_peak_mb
 

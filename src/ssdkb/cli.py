@@ -38,7 +38,7 @@ def _cmd_validate(args) -> int:
     kb = _load_kb(args.file)
     violations = validate_kb(kb)
     for v in violations:
-        print(f"{v.code} {v.subject} {v.message}")
+        print(v)
     for code, count in sorted(Counter(v.code for v in violations).items()):
         print(f"{code}: {count}", file=sys.stderr)
     return 1 if violations else 0
@@ -49,7 +49,7 @@ def _cmd_classify(args) -> int:
     violations = validate_kb(kb)
     if violations:
         for v in violations:
-            print(f"{v.code} {v.subject} {v.message}", file=sys.stderr)
+            print(v, file=sys.stderr)
         return 1
     for study in kb.studies:
         classification = classify_study(study, kb.taxonomy)

@@ -20,8 +20,9 @@ its other conjuncts bottom-up into a seed, then takes each `some`
 conjunct either bottom-up (build the filler's members, join them
 through the property, intersect) or top-down (test each seed member
 through its subject lookups), whichever the store's per-predicate
-statistics say visits fewer nodes. The store builds those tables at
-the first query that needs them.
+statistics say visits fewer nodes. Those statistics are the sizes of
+the property's subject and object tables, so estimating a `some`
+conjunct builds both, at the first query that needs them.
 """
 
 from __future__ import annotations

@@ -61,9 +61,11 @@ class TripleIndex:
     changed once built; `extended` makes a new one. Every other table is
     built per key at its first use, from `by_p`, and kept: each
     predicate's subject table (`subjects`) and object table (`objects`),
-    each class's members (`members`), and the query planners' `stats` and
-    `numbers`. So a load pays for `by_p` alone, and a query for the tables
-    of the predicates and classes it reads.
+    each class's members (`members`), and the sorted `numbers` that a DL
+    facet reads. The planners' `stats` are the sizes of a predicate's
+    tables, so counting a predicate builds them. A load pays for `by_p`
+    alone, and a query for the tables of the predicates and classes it
+    reads or counts.
 
     The lists keep the order of `all`, which is the order given:
     `graph_to_kb` gives term order and `extended` appends its triples in
@@ -73,7 +75,7 @@ class TripleIndex:
     changes speed, never an answer."""
 
     def __init__(self, triples):
-        self._stats: dict[Iri | None, tuple[int, int, int]] = {}
+        self._whole: tuple[int, int, int] | None = None
         self._numbers: dict[Iri, tuple[list, list[Term]]] = {}
         self._subjects: dict[Iri, dict[Term, list[Triple]]] = {}
         self._objects: dict[Iri, dict[Term, list[Triple]]] = {}
@@ -161,13 +163,15 @@ class TripleIndex:
 
     def stats(self, predicate: Iri | None) -> tuple[int, int, int]:
         """The number of triples, distinct subjects and distinct objects of
-        `predicate`, or of the whole store for None."""
-        found = self._stats.get(predicate)
-        if found is None:
-            triples = self.all if predicate is None else self.by_p.get(predicate, ())
-            found = (len(triples), len({t[0] for t in triples}), len({t[2] for t in triples}))
-            self._stats[predicate] = found
-        return found
+        `predicate`: the sizes of its list and of its subject and object
+        tables. For None, those of the whole store, counted once."""
+        if predicate is not None:
+            found = self.by_p.get(predicate, ())
+            return len(found), len(self.subjects(predicate)), len(self.objects(predicate))
+        if self._whole is None:
+            every = self.all
+            self._whole = (len(every), len({t[0] for t in every}), len({t[2] for t in every}))
+        return self._whole
 
     def numbers(self, predicate: Iri) -> tuple[list, list[Term]]:
         """The integer and decimal objects of `predicate` as numbers, in

@@ -4,12 +4,12 @@ patterns (with `;` lists and `a`), ORDER BY ASC|DESC(?v), LIMIT n, and
 
 Queries run over asserted plus inferred triples, with bag semantics. The
 patterns are joined in an order planned once per query (`join_order`)
-from the store's per-predicate statistics, which the store counts at the
-first query that needs them: connected patterns first, fewest estimated
-rows first. Rows are ordered by the ORDER BY key, numerically for
-numbers, with ties broken by the whole selected row ascending; DESC
-reverses only the key. Without ORDER BY, rows are sorted, so the join
-order never shows in the output.
+from the store's per-predicate statistics, the sizes of the tables that
+the store builds at the first query that needs them: connected patterns
+first, fewest estimated rows first. Rows are ordered by the ORDER BY
+key, numerically for numbers, with ties broken by the whole selected
+row ascending; DESC reverses only the key. Without ORDER BY, rows are
+sorted, so the join order never shows in the output.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import pytest
 from conftest import FIXTURES, QUERIES
 from ssdkb import bench
 from ssdkb.cli import main
+from ssdkb.kb import KnowledgeBase, TripleIndex
 
 
 def fixture(name):
@@ -18,11 +19,19 @@ def test_validate_clean_file(capsys):
     assert captured.out == "" and captured.err == ""
 
 
+# the line that `validate` prints to stdout, and `classify` to stderr, for
+# the one violation of broken_alternating.ttl
+BROKEN_LINE = (
+    "AlternatingNeedsTwoTreatments <http://bdi.si.ehu.es/bdi/ontologies/SSDOnt/SSDOnt#bad01_ph2>"
+    " alternating intervention phase needs at least two distinct treatments\n"
+)
+
+
 def test_validate_broken_file(capsys):
     assert main(["validate", fixture("broken_alternating.ttl")]) == 1
-    out = capsys.readouterr().out
-    assert "AlternatingNeedsTwoTreatments" in out
-    assert "bad01" in out
+    captured = capsys.readouterr()
+    assert captured.out == BROKEN_LINE
+    assert captured.err == "AlternatingNeedsTwoTreatments: 1\n"
 
 
 def test_validate_counts_violations_per_code(tmp_path, capsys):
@@ -119,7 +128,8 @@ def test_classify_prints_each_warning_to_stderr(tmp_path, capsys):
 
 def test_classify_broken_exits_one(capsys):
     assert main(["classify", fixture("broken_alternating.ttl")]) == 1
-    assert "AlternatingNeedsTwoTreatments" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", BROKEN_LINE)
 
 
 def test_query_dl_expr(capsys):
@@ -227,8 +237,7 @@ def test_stats_fig3(capsys):
 
 BENCH_LAYERS = [
     "generate.graph_s", "turtle.serialize_s", "turtle.parse_s", "kb.lift_s",
-    "model.validate_s", "classify.materialize_s", "kb.stats_s", "kb.index_build_s",
-    "gc.collect_s",
+    "model.validate_s", "classify.materialize_s", "kb.stats_s", "gc.collect_s",
 ]
 
 
@@ -261,14 +270,16 @@ def test_bench_reports_each_layers_median(monkeypatch):
     def load(n):
         loads.append(n)
         i = loads.count(n) - 1
-        return dict.fromkeys(BENCH_LAYERS, times[n][i]), (n, i), len(loads) - 0.5
+        # a kb whose one triple names its size and its chain
+        kb = KnowledgeBase(graph=None, taxonomy=None, store=TripleIndex([(n, "chain", i)]))
+        return dict.fromkeys(BENCH_LAYERS, times[n][i]), kb, len(loads) - 0.5
 
     monkeypatch.setattr(bench, "_load", load)
     # the high-water mark counts the chains run so far
     monkeypatch.setattr(
         bench.resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=1024 * len(loads))
     )
-    first_kb = {"query.first": lambda kb: [kb] if kb[1] == 0 else []}
+    first_kb = {"query.first": lambda kb: [kb] if kb.store.all[0][2] == 0 else []}
     runs = bench.bench_sizes([3, 7], first_kb)
     assert loads == [3, 7, 3, 7, 3, 7]
     assert [runs["3"][layer] for layer in BENCH_LAYERS] == [4.0] * len(BENCH_LAYERS)
@@ -278,6 +289,46 @@ def test_bench_reports_each_layers_median(monkeypatch):
     assert runs["3"]["query.first"]["rows"] == runs["7"]["query.first"]["rows"] == 1
     assert (runs["3"]["peak_rss_mb"], runs["7"]["peak_rss_mb"]) == (1.0, 2.0)
     assert (runs["3"]["load_peak_rss_mb"], runs["7"]["load_peak_rss_mb"]) == (0.5, 1.5)
+
+
+def test_bench_runs_each_query_cold_on_a_fresh_store(monkeypatch):
+    """Each query file's first run finds a store of its own over the first
+    kb's triples, in the same order, with no table built from them: the
+    state that `ssdkb query` starts from. Its warm runs read that store."""
+    kbs = []
+    load = bench._load
+
+    def first_load(n):
+        layers, kb, peak = load(n)
+        kbs.append(kb)
+        return layers, kb, peak
+
+    def built(store):
+        tables = (store._subjects, store._objects, store._members, store._numbers)
+        return [set(table) for table in tables], store._nodes, store._whole
+
+    stores = {}
+
+    def watched(name, run):
+        def answer(kb):
+            stores.setdefault(name, (kb.store, built(kb.store)))
+            assert kb.store is stores[name][0]
+            return run(kb)
+
+        return answer
+
+    monkeypatch.setattr(bench, "_load", first_load)
+    queries = bench.load_queries(sorted(str(path) for path in QUERIES.glob("*.[dr][lq]")))
+    assert len(queries) == 10
+    runs = bench.bench_sizes([4], {name: watched(name, run) for name, run in queries.items()})
+    assert runs["4"].keys() > queries.keys() == stores.keys()
+    first = kbs[0].store
+    # `kb_stats` built the load's object table of rdf:type
+    assert first._objects
+    for store, before in stores.values():
+        assert before == ([set()] * 4, None, None)
+        assert store.all == first.all and store.by_p == first.by_p
+    assert len({id(store) for store, _ in stores.values()} | {id(first)}) == 11
 
 
 def test_bench_with_query_dir(tmp_path, capsys):

@@ -369,24 +369,64 @@ ex:c ex:n ex:a .
 """
 
 
+def _counted(triples):
+    """The number of triples, distinct subjects and distinct objects, each
+    counted by building a set."""
+    return len(triples), len({t[0] for t in triples}), len({t[2] for t in triples})
+
+
+def _built(store):
+    """The predicates and classes whose tables `store` has built, and
+    whether it has built its set of nodes and its whole-store counts."""
+    return (
+        store._subjects.keys(), store._objects.keys(), store._members.keys(),
+        store._numbers.keys(), store._nodes is not None, store._whole is not None,
+    )
+
+
+def _assert_counted_from_tables(store):
+    # the lift reads the object table of rdf:type
+    lifted = set(store._objects)
+    assert _built(store) == (set(), lifted, set(), set(), False, False)
+    counted = set()
+    for p in [*store.by_p, Iri("http://e.org/#nope")]:
+        assert store.stats(p) == _counted(store.by_p.get(p, []))
+        counted.add(p)
+        assert _built(store) == (counted, lifted | counted, set(), set(), False, False)
+    assert store.stats(None) == _counted(store.all)
+    assert store.stats(None) is store.stats(None)
+    assert _built(store) == (counted, lifted | counted, set(), set(), False, True)
+
+
 def test_statistics_are_built_per_predicate_at_first_use():
+    """A predicate's statistics are the sizes of its list and of its
+    subject and object tables: counting it builds those two tables and
+    nothing else. The whole store's are counted once and build no table."""
     ex = lambda name: Iri("http://e.org/#" + name)
     store = graph_to_kb(parse_turtle(_NUMBERS_TTL)).store
-    assert store._stats == {} and store._numbers == {}
+    _assert_counted_from_tables(store)
     assert store.stats(ex("n")) == (6, 3, 6)
-    assert store.stats(ex("nope")) == (0, 0, 0)
     assert store.stats(None) == (7, 3, 7)
-    assert set(store._stats) == {ex("n"), ex("nope"), None}
+    _assert_counted_from_tables(materialize_types(generate_studies(200, GenProfile(seed=1))).store)
+    # a store that extends a counted one counts its own triples afresh
+    more = store.extended({Triple(ex("c"), ex("n"), Literal("0", "integer"))})
+    _assert_counted_from_tables(more)
+    assert more.stats(ex("n")) == (7, 3, 7)
+
+
+def test_numbers_are_built_per_predicate_at_first_use():
+    ex = lambda name: Iri("http://e.org/#" + name)
+    store = graph_to_kb(parse_turtle(_NUMBERS_TTL)).store
     # strings and IRIs are skipped; equal values keep both subjects
     values, subjects = store.numbers(ex("n"))
     assert values == [-2, Decimal("1.5"), 3, Decimal("3.0")]
     assert subjects[:2] == [ex("b"), ex("a")] and set(subjects[2:]) == {ex("a"), ex("b")}
     assert store.numbers(ex("m")) == ([], [])
     assert store.numbers(ex("n")) is store.numbers(ex("n"))
-    # a store that extends this one counts its own triples afresh
+    assert store._numbers.keys() == {ex("n"), ex("m")}
+    # a store that extends this one sorts its own numbers afresh
     more = store.extended({Triple(ex("c"), ex("n"), Literal("0", "integer"))})
-    assert more._stats == {} and more._numbers == {}
-    assert more.stats(ex("n")) == (7, 3, 7)
+    assert more._numbers == {}
     assert more.numbers(ex("n"))[0][:2] == [-2, 0]
 
 
