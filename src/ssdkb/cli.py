@@ -15,13 +15,12 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 from .bench import ENGINES, load_queries, run_bench
 from .classify import ClassificationError, classify_study, materialize_types
 from .dlquery import DlEvalError, DlSyntaxError, eval_dl_query, parse_dl_query
-from .generate import GenProfile, ProfileError, generate_graph
+from .generate import GenProfile, generate_graph
 from .kb import KnowledgeBase, SchemaError, graph_to_kb, kb_stats, validate_kb
 from .sparql import SparqlSyntaxError, eval_sparql, parse_sparql
 from .terms import Iri, local_name
@@ -93,10 +92,7 @@ def _display(term) -> str:
 
 
 def _cmd_gen(args) -> int:
-    profile = GenProfile.from_file(args.profile) if args.profile else GenProfile()
-    if args.seed is not None:
-        profile = replace(profile, seed=args.seed)
-    text = serialize_turtle(generate_graph(args.count, profile))
+    text = serialize_turtle(generate_graph(args.count, GenProfile(seed=args.seed)))
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(text)
     print(f"wrote {args.count} studies to {args.output}", file=sys.stderr)
@@ -113,6 +109,13 @@ def _study_count(text: str) -> int:
     count = int(text)
     if count < 1:
         raise argparse.ArgumentTypeError(f"need at least 1 study, got {count}")
+    return count
+
+
+def _gen_count(text: str) -> int:
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"study count must be non-negative, got {count}")
     return count
 
 
@@ -160,9 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("gen", help="generate synthetic study annotations")
-    p.add_argument("-n", "--count", type=int, required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--profile")
+    p.add_argument("-n", "--count", type=_gen_count, required=True)
+    p.add_argument("--seed", type=int, default=GenProfile().seed)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_gen)
 
@@ -194,7 +196,6 @@ def main(argv: list[str] | None = None) -> int:
         DlSyntaxError,
         SparqlSyntaxError,
         SchemaError,
-        ProfileError,
         DlEvalError,
         ClassificationError,
         # a path that is missing, a directory, not permitted or not UTF-8

@@ -1,7 +1,11 @@
 """Deterministic synthetic-study generator.
 
-Per-study sub-seeds derive from (profile seed, study index), so generation
-is reproducible and order-independent. Result values come from
+The seed is its only setting; every study has the same fixed shape. Designs
+are drawn by the shares in `DESIGN_MIX`, each phase has 4-7 results, each
+study 1-2 participants (more for an across-subject design), and the
+interventions and outcomes come from pools of 20 and 12 individuals.
+Per-study sub-seeds derive from (seed, study index), so generation is
+reproducible and order-independent. Result values come from
 phase-dependent normal distributions (baseline mean 10, intervention mean
 20, follow-up mean 18, sd 2) so best-result queries are non-degenerate.
 """
@@ -9,14 +13,13 @@ phase-dependent normal distributions (baseline mean 10, intervention mean
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from decimal import Decimal
 
 from . import vocab
 from .kb import KnowledgeBase, graph_to_kb, study_to_triples
 from .model import AgeDescription, MBDItem, Participant, Phase, PhaseKind, Result, Study
-from .taxonomy import Taxonomy, core_taxonomy
-from .terms import Iri, RDF_TYPE, Term, aut, gc_paused, ssd
+from .terms import RDF_TYPE, Term, aut, gc_paused, ssd
 from .turtle import TripleGraph
 
 BASELINE_MEAN = 10.0
@@ -28,7 +31,7 @@ CONDITIONS = ("autism", "adhd", "anxiety", "aphasia", "dyslexia")
 GENDERS = ("male", "female")
 SETTINGS = ("home", "school", "playground", "clinic", "workplace")
 
-# the designs a profile may mix, each with the class its studies assert
+# the designs the generator draws, each with the class its studies assert
 DESIGN_CLASS = {
     "AB": vocab.AB_DESIGN,
     "ABAB": vocab.ABAB_DESIGN,
@@ -38,103 +41,31 @@ DESIGN_CLASS = {
     "AcrossSubjectMBD": vocab.ACROSS_SUBJECT_MBD,
     "AcrossOutcomeMBD": vocab.ACROSS_OUTCOME_MBD,
 }
-
-
-class ProfileError(Exception):
-    pass
+# each design's share of the studies
+DESIGN_MIX = {
+    "AB": 0.30,
+    "ABAB": 0.20,
+    "ABAB_F": 0.10,
+    "AlternatingTreatment": 0.10,
+    "AcrossSettingMBD": 0.10,
+    "AcrossSubjectMBD": 0.10,
+    "AcrossOutcomeMBD": 0.10,
+}
+_DESIGNS = sorted(DESIGN_MIX)
+_WEIGHTS = [DESIGN_MIX[name] for name in _DESIGNS]
+RESULTS_PER_PHASE = (4, 7)
+PARTICIPANTS_PER_STUDY = (1, 2)
+INTERVENTIONS = tuple(aut(f"intv{i:03d}") for i in range(1, 21))
+# keep the attested outcome individual in the pool so the published example
+# queries are answerable over generated data
+OUTCOMES = (aut("correct_answers_wh"),) + tuple(aut(f"outcome{i:03d}") for i in range(2, 13))
 
 
 @dataclass(frozen=True)
 class GenProfile:
-    design_mix: dict[str, float] = field(
-        default_factory=lambda: {
-            "AB": 0.30,
-            "ABAB": 0.20,
-            "ABAB_F": 0.10,
-            "AlternatingTreatment": 0.10,
-            "AcrossSettingMBD": 0.10,
-            "AcrossSubjectMBD": 0.10,
-            "AcrossOutcomeMBD": 0.10,
-        }
-    )
-    results_per_phase: tuple[int, int] = (4, 7)
-    participants_per_study: tuple[int, int] = (1, 2)
-    intervention_pool: int = 20
-    outcome_pool: int = 12
+    """The generator's one setting."""
+
     seed: int = 1
-
-    def check(self) -> None:
-        unknown = set(self.design_mix) - set(DESIGN_CLASS)
-        if unknown:
-            raise ProfileError(f"unknown designs in mix: {sorted(unknown)}")
-        if any(w < 0 for w in self.design_mix.values()):
-            raise ProfileError("design mix weights must be non-negative")
-        if not any(w > 0 for w in self.design_mix.values()):
-            raise ProfileError("design mix needs at least one positive weight")
-        for name, (lo, hi) in (
-            ("results_per_phase", self.results_per_phase),
-            ("participants_per_study", self.participants_per_study),
-        ):
-            if lo > hi or lo < 1:
-                raise ProfileError(f"empty or invalid range for {name}: ({lo}, {hi})")
-        if self.intervention_pool < 2 or self.outcome_pool < 1:
-            raise ProfileError("pool sizes too small")
-
-    @classmethod
-    def from_file(cls, path: str) -> "GenProfile":
-        """Load from a line-oriented `key = value` file. Keys: mix.<design>,
-        results_min/max, participants_min/max, intervention_pool,
-        outcome_pool, seed."""
-        values: dict[str, str] = {}
-        with open(path, encoding="utf-8") as handle:
-            for raw in handle:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ProfileError(f"bad profile line: {raw.strip()!r}")
-                key, _, val = line.partition("=")
-                values[key.strip()] = val.strip()
-
-        profile = cls()
-        mix = dict(profile.design_mix)
-        kwargs: dict = {}
-        results = list(profile.results_per_phase)
-        participants = list(profile.participants_per_study)
-        for key, val in values.items():
-            if key.startswith("mix."):
-                mix[key[4:]] = float(val)
-            elif key == "results_min":
-                results[0] = int(val)
-            elif key == "results_max":
-                results[1] = int(val)
-            elif key == "participants_min":
-                participants[0] = int(val)
-            elif key == "participants_max":
-                participants[1] = int(val)
-            elif key in ("intervention_pool", "outcome_pool", "seed"):
-                kwargs[key] = int(val)
-            else:
-                raise ProfileError(f"unknown profile key: {key}")
-        profile = replace(
-            profile,
-            design_mix=mix,
-            results_per_phase=(results[0], results[1]),
-            participants_per_study=(participants[0], participants[1]),
-            **kwargs,
-        )
-        profile.check()
-        return profile
-
-
-def _pool_iris(profile: GenProfile) -> tuple[list[Iri], list[Iri]]:
-    interventions = [aut(f"intv{i:03d}") for i in range(1, profile.intervention_pool + 1)]
-    # keep the attested outcome individual in the pool so the published
-    # example queries are answerable over generated data
-    outcomes = [aut("correct_answers_wh")] + [
-        aut(f"outcome{i:03d}") for i in range(2, profile.outcome_pool + 1)
-    ]
-    return interventions, outcomes
 
 
 def _value(rng: random.Random, kind: PhaseKind) -> Decimal:
@@ -156,19 +87,14 @@ def _signature_for(design: str) -> str:
     }[design]
 
 
-def _make_phases(
-    rng: random.Random,
-    sig: str,
-    prefix: str,
-    interventions: list[Iri],
-) -> list[Phase]:
+def _make_phases(rng: random.Random, sig: str, prefix: str) -> list[Phase]:
     phases = []
     for pos, letter in enumerate(sig, start=1):
         kind = PhaseKind(letter)
         if kind is PhaseKind.SIMPLE_INTERVENTION:
-            types: tuple[Term, ...] = (rng.choice(interventions),)
+            types: tuple[Term, ...] = (rng.choice(INTERVENTIONS),)
         elif kind is PhaseKind.ALTERNATING_INTERVENTION:
-            types = tuple(rng.sample(interventions, 2))
+            types = tuple(rng.sample(INTERVENTIONS, 2))
         else:
             types = ()
         phases.append(
@@ -181,15 +107,13 @@ def _make_results(
     rng: random.Random,
     phases: list[Phase],
     prefix: str,
-    profile: GenProfile,
     start_instant: int = 1,
 ) -> tuple[list[Result], int]:
     results = []
     instant = start_instant
     counter = 1
     for phase in phases:
-        lo, hi = profile.results_per_phase
-        for _ in range(rng.randint(lo, hi)):
+        for _ in range(rng.randint(*RESULTS_PER_PHASE)):
             if phase.kind in (PhaseKind.SIMPLE_INTERVENTION, PhaseKind.ALTERNATING_INTERVENTION):
                 itype = rng.choice(phase.intervention_types)
             else:
@@ -224,29 +148,26 @@ def _make_participant(rng: random.Random, prefix: str, index: int) -> Participan
 def _draw_design(index: int, profile: GenProfile) -> tuple[str, random.Random]:
     """Study `index`'s design label, and its random stream after that draw."""
     rng = random.Random(profile.seed * 1_000_003 + index)
-    names = sorted(profile.design_mix)
-    weights = [profile.design_mix[n] for n in names]
-    return rng.choices(names, weights=weights, k=1)[0], rng
+    return rng.choices(_DESIGNS, weights=_WEIGHTS, k=1)[0], rng
 
 
-def _generate_study(index: int, profile: GenProfile, pools) -> Study:
+def _generate_study(index: int, profile: GenProfile) -> Study:
     design, rng = _draw_design(index, profile)
-    interventions, outcomes = pools
     prefix = f"study{index:05d}"
     study_id = ssd(prefix)
 
-    n_participants = rng.randint(*profile.participants_per_study)
+    n_participants = rng.randint(*PARTICIPANTS_PER_STUDY)
     participants = tuple(
         _make_participant(rng, prefix, i + 1) for i in range(n_participants)
     )
 
     if design in ("AB", "ABAB", "ABAB_F", "AlternatingTreatment"):
-        phases = _make_phases(rng, _signature_for(design), prefix, interventions)
-        results, _ = _make_results(rng, phases, prefix, profile)
+        phases = _make_phases(rng, _signature_for(design), prefix)
+        results, _ = _make_results(rng, phases, prefix)
         return Study(
             id=study_id,
             participants=participants,
-            outcomes=(rng.choice(outcomes),),
+            outcomes=(rng.choice(OUTCOMES),),
             phases=tuple(phases),
             results=tuple(results),
             asserted_class=DESIGN_CLASS[design],
@@ -254,7 +175,7 @@ def _generate_study(index: int, profile: GenProfile, pools) -> Study:
 
     # multiple-baseline designs: 2-3 parallel items, varying in one dimension
     n_items = rng.randint(2, 3)
-    base_outcome = rng.choice(outcomes)
+    base_outcome = rng.choice(OUTCOMES)
     base_setting = ssd(rng.choice(SETTINGS))
     base_subject = participants[0].id
     if design == "AcrossSettingMBD":
@@ -267,7 +188,7 @@ def _generate_study(index: int, profile: GenProfile, pools) -> Study:
             )
         dims = [(participants[i].id, base_setting, base_outcome) for i in range(n_items)]
     else:  # AcrossOutcomeMBD
-        item_outcomes = rng.sample(outcomes, n_items)
+        item_outcomes = rng.sample(OUTCOMES, n_items)
         dims = [(base_subject, base_setting, item_outcomes[i]) for i in range(n_items)]
 
     items = []
@@ -275,8 +196,8 @@ def _generate_study(index: int, profile: GenProfile, pools) -> Study:
     instant = 1
     for i, (subject, setting, outcome) in enumerate(dims, start=1):
         item_prefix = f"{prefix}_item{i}"
-        phases = _make_phases(rng, "BI", item_prefix, interventions)
-        results, instant = _make_results(rng, phases, item_prefix, profile, instant)
+        phases = _make_phases(rng, "BI", item_prefix)
+        results, instant = _make_results(rng, phases, item_prefix, instant)
         all_results.extend(results)
         items.append(
             MBDItem(
@@ -306,28 +227,23 @@ def generated_design(index: int, profile: GenProfile) -> str:
 
 @gc_paused()
 def generate_graph(n: int, profile: GenProfile | None = None) -> TripleGraph:
-    profile = profile or GenProfile()
-    profile.check()
     if n < 0:
-        raise ProfileError("study count must be non-negative")
-    interventions, outcomes = _pool_iris(profile)
+        raise ValueError(f"study count must be non-negative, got {n}")
+    profile = profile or GenProfile()
     graph = TripleGraph()
     if n > 0:
-        for iri in interventions:
+        for iri in INTERVENTIONS:
             graph.add(iri, RDF_TYPE, vocab.PEER_MEDIATED_INTERVENTION)
-        for iri in outcomes:
+        for iri in OUTCOMES:
             graph.add(iri, RDF_TYPE, vocab.COMMUNICATION_OUTCOME)
             graph.add(iri, vocab.IN_FORM_OF, ssd("percentage"))
     for index in range(n):
-        study = _generate_study(index, profile, (interventions, outcomes))
+        study = _generate_study(index, profile)
         graph.triples.update(study_to_triples(study))
     return graph
 
 
-def generate_studies(
-    n: int, profile: GenProfile | None = None, taxonomy: Taxonomy | None = None
-) -> KnowledgeBase:
+def generate_studies(n: int, profile: GenProfile | None = None) -> KnowledgeBase:
     """A valid knowledge base of `n` synthetic studies; identical inputs
     produce identical kbs."""
-    graph = generate_graph(n, profile)
-    return graph_to_kb(graph, taxonomy or core_taxonomy())
+    return graph_to_kb(generate_graph(n, profile))

@@ -210,7 +210,6 @@ class KnowledgeBase:
     store: TripleIndex = field(repr=False, compare=False)
     studies: tuple[Study, ...] = ()
     inferred: frozenset[Triple] = frozenset()
-    materialized: bool = False
 
     def all_triples(self) -> set[Triple]:
         # from the graph, not the store: reference evaluators read this as an
@@ -225,7 +224,7 @@ class KnowledgeBase:
     def with_inferred(self, new: set[Triple]) -> "KnowledgeBase":
         """This kb, materialized, plus the inferred triples `new`, which it lacks."""
         store = self.store.extended(new)
-        return replace(self, store=store, inferred=self.inferred | new, materialized=True)
+        return replace(self, store=store, inferred=self.inferred | new)
 
 
 def empty_kb(taxonomy: Taxonomy | None = None) -> KnowledgeBase:

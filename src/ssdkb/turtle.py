@@ -95,7 +95,9 @@ _A = r"a(?![A-Za-z0-9_\-:])"
 
 # After any whitespace and `#` comments. The first alternative that matches
 # wins, so `a:` is a prefixed name and `a` alone the keyword. The kinds are
-# what error messages print.
+# what error messages print. A string may not be followed by a quote, so a
+# long string `"""…"""` is an unexpected `"` where it starts, not `""` and
+# then a grammar error.
 _TOKEN_RX = scan.language(
     scan.SKIP,
     IRIREF=scan.IRIREF,
@@ -104,7 +106,7 @@ _TOKEN_RX = scan.language(
     PNAME=_PNAME,
     DECIMAL=scan.DECIMAL,
     INTEGER=scan.INTEGER,
-    STRING=scan.STRING,
+    STRING=scan.STRING + '(?!")',
     A=_A,
     SEMI=";",
     DOT=r"\.",

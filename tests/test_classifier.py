@@ -356,4 +356,3 @@ def test_materialize_empty_kb():
 
     kb = materialize_types(empty_kb())
     assert kb.inferred == frozenset()
-    assert kb.materialized

@@ -217,6 +217,21 @@ def test_gen_is_deterministic(tmp_path, capsys):
     assert main(["validate", str(a)]) == 0
 
 
+def test_gen_default_seed_is_seed_one(tmp_path, capsys):
+    default = tmp_path / "default.ttl"
+    seeded = tmp_path / "seeded.ttl"
+    assert main(["gen", "-n", "5", "-o", str(default)]) == 0
+    assert main(["gen", "-n", "5", "--seed", "1", "-o", str(seeded)]) == 0
+    assert default.read_bytes() == seeded.read_bytes()
+
+
+def test_gen_rejects_negative_count(tmp_path, capsys):
+    out = tmp_path / "kb.ttl"
+    assert main(["gen", "-n", "-1", "-o", str(out)]) == 2
+    assert "must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_then_stats(tmp_path, capsys):
     out = tmp_path / "kb.ttl"
     assert main(["gen", "-n", "3", "--seed", "4", "-o", str(out)]) == 0
@@ -365,13 +380,17 @@ def test_bench_rejects_bad_arguments(argv, message, capsys):
     assert message in err
 
 
-def test_bench_takes_no_profile(capsys):
-    # the bench corpus is always the default profile's; only `gen` reads one.
-    # The top-level parser reports an unknown option, under its own usage line.
-    assert main(["bench", "-n", "2", "--profile", "mix.dl"]) == 2
+@pytest.mark.parametrize("command", ["bench", "gen"])
+def test_takes_no_profile(command, tmp_path, capsys):
+    # the generator's only setting is the seed. The top-level parser reports
+    # an unknown option, under its own usage line.
+    out = tmp_path / "kb.ttl"
+    output = ["-o", str(out)] if command == "gen" else []
+    assert main([command, "-n", "2", "--profile", "mix.dl", *output]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: unrecognized arguments: --profile" in captured.err
+    assert not out.exists()
 
 
 def test_bench_query_syntax_error_exits_two(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,6 @@ from ssdkb.classify import classify_design, materialize_types
 from ssdkb.generate import (
     DESIGN_CLASS,
     GenProfile,
-    ProfileError,
     generate_graph,
     generate_studies,
     generated_design,
@@ -26,6 +27,16 @@ def test_same_seed_gives_identical_serialization():
     assert a == b
 
 
+def test_generated_bytes_are_pinned():
+    # the sha256 of 50 studies at seed 1; any change to the generator's
+    # draws or the serializer's text changes it
+    text = serialize_turtle(generate_graph(50, GenProfile(seed=1)))
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "559410dc83c834b6406a61b9a03171d9705d5471f3b9a8cf5995f4fb4f4ee255"
+    )
+
+
 def test_different_seeds_differ():
     a = serialize_turtle(generate_graph(8, GenProfile(seed=1)))
     b = serialize_turtle(generate_graph(8, GenProfile(seed=2)))
@@ -40,7 +51,7 @@ def test_zero_studies_is_empty():
 
 
 def test_negative_count_rejected():
-    with pytest.raises(ProfileError):
+    with pytest.raises(ValueError):
         generate_graph(-1)
 
 
@@ -90,56 +101,3 @@ def test_prefix_independence():
     short = generate_studies(4, GenProfile(seed=9))
     long = generate_studies(8, GenProfile(seed=9))
     assert long.studies[:4] == short.studies
-
-
-def test_profile_from_file(tmp_path):
-    path = tmp_path / "profile.txt"
-    path.write_text(
-        "# comment\n"
-        "seed = 99\n"
-        "mix.AB = 1.0\n"
-        "mix.ABAB = 0.0\n"
-        "mix.ABAB_F = 0\n"
-        "mix.AlternatingTreatment = 0\n"
-        "mix.AcrossSettingMBD = 0\n"
-        "mix.AcrossSubjectMBD = 0\n"
-        "mix.AcrossOutcomeMBD = 0\n"
-        "results_min = 2\n"
-        "results_max = 3\n"
-        "participants_min = 1\n"
-        "participants_max = 1\n"
-        "intervention_pool = 5\n"
-        "outcome_pool = 4\n"
-    )
-    profile = GenProfile.from_file(str(path))
-    assert profile.seed == 99
-    assert profile.design_mix["AB"] == 1.0
-    assert profile.results_per_phase == (2, 3)
-    kb = generate_studies(5, profile)
-    for study in kb.studies:
-        assert vocab.AB_DESIGN in classify_design(study, TAX)
-
-
-@pytest.mark.parametrize(
-    "line",
-    [
-        "mix.NoSuchDesign = 1.0",
-        "results_min = 9\nresults_max = 2",
-        "intervention_pool = 1",
-        "mix.AB = -2",
-        "nonsense_key = 1",
-        "seed 99",
-    ],
-)
-def test_bad_profiles_rejected(tmp_path, line):
-    path = tmp_path / "bad.txt"
-    path.write_text(line + "\n")
-    with pytest.raises(ProfileError):
-        profile = GenProfile.from_file(str(path))
-        profile.check()
-
-
-def test_all_zero_mix_rejected():
-    mix = {name: 0.0 for name in DESIGN_CLASS}
-    with pytest.raises(ProfileError):
-        generate_graph(1, GenProfile(design_mix=mix))

@@ -268,6 +268,7 @@ def test_round_trip_random_graphs(triples):
 
 
 _S = "@prefix s: <http://e.org/#> .\n"
+_EX = "@prefix ex: <http://e.org/#> .\n"
 
 
 @pytest.mark.parametrize(
@@ -291,6 +292,9 @@ _S = "@prefix s: <http://e.org/#> .\n"
         # W3C Turtle allows no raw line break inside "…"
         (_S + 's:a s:p "two\nlines" .', "unexpected character '\"'", 2, 9),
         (_S + 's:a s:p s:b ; s:q "cr\r" .', "unexpected character '\"'", 2, 19),
+        # a long string is refused where it starts, not at its second quote pair
+        (_EX + 'ex:a ex:p """x""" .', "unexpected character '\"'", 2, 11),
+        (_S + 's:a s:p "x""" .', "unexpected character '\"'", 2, 9),
         # The first unexpected character wins over an earlier grammar error.
         ('"lit" s:p s:o .\n  ^', "unexpected character '^'", 2, 3),
     ],
@@ -300,6 +304,11 @@ def test_error_message_line_and_column(text, message, line, column):
         parse_turtle(text)
     assert str(info.value) == f"{message} (line {line}, column {column})"
     assert (info.value.line, info.value.column) == (line, column)
+
+
+def test_empty_string_literal():
+    graph = parse_turtle(_S + 's:a s:p "" .')
+    assert [t.object for t in graph.triples] == [Literal("", "string")]
 
 
 def test_redefined_prefix_applies_to_later_names():
@@ -357,7 +366,8 @@ _REFERENCE_TOKEN_RX = scan.language(
     PNAME=r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z_][A-Za-z0-9_\-]*)?",
     DECIMAL=scan.DECIMAL,
     INTEGER=scan.INTEGER,
-    STRING=scan.STRING,
+    # not followed by a quote, so a long string is refused where it starts
+    STRING=scan.STRING + '(?!")',
     A=r"a(?![A-Za-z0-9_\-:])",
     SEMI=";",
     DOT=r"\.",
@@ -551,6 +561,10 @@ def assert_reads_like_reference(text: str) -> None:
         _S + 's:a s:p "x y" ; s:q "a # b" ; s:r "#" ; s:t "# c" .',
         _S + 's:a s:p "x #y" .\ns:b s:p "a;b." .',
         _S + 's:a s:p "x\\" y" .',
+        # an empty string, and long strings
+        _S + 's:a s:p "" ; s:q "";.',
+        _S + 's:a s:p """x""" .',
+        _S + 's:a s:p "x""" ; s:q """" .',
         # whitespace that is not a space between tokens, and in a comment
         _S + "s:a\xa0s:p\x85s:o\x1c;\u2028s:q\ts:o\r\n.",
         _S + "\xa0s:a s:p s:o\u2028.\x85",
