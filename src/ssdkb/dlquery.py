@@ -30,6 +30,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import Callable, Union
 
@@ -193,6 +194,7 @@ _RANGES = {
     ">=": lambda v, b: (bisect_left(v, b), len(v)),
     "=": lambda v, b: (bisect_left(v, b), bisect_right(v, b)),
 }
+_SUBJECT = itemgetter(0)
 _OBJECT = itemgetter(2)
 # What one node visited top-down (a lookup or a test through a compiled
 # closure) costs, in members touched bottom-up (a set insert).
@@ -298,8 +300,8 @@ class DlEvaluator:
             # triples, whichever touches fewer
             if len(members) < len(triples):
                 triples_of = self.store.objects(prop).get
-                return {s for m in members for s, _, _ in triples_of(m, ())}
-            return {s for s, _, o in triples if o in members}
+                return set(map(_SUBJECT, chain.from_iterable(map(triples_of, members, repeat(())))))
+            return set(compress(map(_SUBJECT, triples), map(members.__contains__, map(_OBJECT, triples))))
         # "and": the other conjuncts give the seed (with none, the `some`
         # conjunct that is cheapest bottom-up does); each `some` conjunct then
         # joins it bottom-up, or filters it top-down if that visits fewer nodes
@@ -382,6 +384,9 @@ class DlEvaluator:
             return lambda x: all(test(x) for test in tests)
         triples_of = self.store.subjects(node[1]).get
         if kind == "some":
+            if node[2][0] == "set":
+                isdisjoint = node[2][1].isdisjoint
+                return lambda x: not isdisjoint(map(_OBJECT, triples_of(x, ())))
             inner = self._test(node[2])
             return lambda x: any(map(inner, map(_OBJECT, triples_of(x, ()))))
         compare, bound = _OPS[node[2]], node[3]

@@ -6,17 +6,22 @@ Queries run over asserted plus inferred triples, with bag semantics. The
 patterns are joined in an order planned once per query (`join_order`)
 from the store's per-predicate statistics, the sizes of the tables that
 the store builds at the first query that needs them: connected patterns
-first, fewest estimated rows first. Rows are ordered by the ORDER BY
-key, numerically for numbers, with ties broken by the whole selected
-row ascending; DESC reverses only the key. Without ORDER BY, rows are
-sorted, so the join order never shows in the output.
+first, fewest estimated rows first. The join (`join`) holds its rows a
+column at a time and matches each pattern against all of them in a few
+passes of C builtins, so no Python bytecode runs per row but a variable
+predicate's lookups; the rows are built once, from the selected columns.
+They are ordered by the ORDER BY key, numerically for numbers, with ties
+broken by the whole selected row ascending; DESC reverses only the key.
+Without ORDER BY, rows are sorted, so the join order never shows in the
+output.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import chain, compress, repeat
+from operator import eq, itemgetter
 from typing import Optional, Sequence, Union
 
 from . import scan
@@ -241,59 +246,14 @@ def parse_sparql(text: str) -> SparqlQuery:
 # --- evaluation ---
 
 
+# a triple's term at each place: subject, predicate, object
+_PLACE = (itemgetter(0), itemgetter(1), itemgetter(2))
+
+
 def _sort_key_for(term: Term) -> tuple:
     if isinstance(term, Literal) and term.datatype in ("integer", "decimal"):
         return (0, term.as_decimal())
     return (1, term)
-
-
-class _Step:
-    """`pattern` as the join's next step, over rows that hold each variable
-    bound so far at its place in `column`."""
-
-    def __init__(self, pattern: TriplePattern, column: dict[str, int]):
-        slots = (pattern.subject, pattern.predicate, pattern.object)
-        # `get(row + terms)` gives `candidates` each constant from `terms`,
-        # each bound variable from the row, and None for a new variable
-        self.terms = tuple(None if isinstance(t, Var) else t for t in slots)
-        width = len(column)
-        self.get = itemgetter(*(
-            column.get(t.name, width + j) if isinstance(t, Var) else width + j
-            for j, t in enumerate(slots)
-        ))
-        # each new variable's first position in a triple, and the pairs of
-        # positions that one new variable fills (`?x p ?x`)
-        self.new: dict[str, int] = {}
-        self.repeats: list[tuple[int, int]] = []
-        for j, t in enumerate(slots):
-            if isinstance(t, Var) and t.name not in column:
-                first = self.new.setdefault(t.name, j)
-                if first != j:
-                    self.repeats.append((first, j))
-        self.pick = _tuple_getter(list(self.new.values()))
-        # the predicate is a constant and every row binds the subject: one
-        # lookup in that predicate's subject table per row
-        self.keyed = not isinstance(slots[1], Var) and (
-            not isinstance(slots[0], Var) or slots[0].name in column
-        )
-
-
-def _keyed_candidates(table: dict):
-    """`TripleIndex.candidates` for a given subject and the constant
-    predicate whose subject table `table` is, read once, not once per call."""
-
-    def candidates(subject, predicate, obj):
-        found = table.get(subject, ())
-        return found if obj is None else [t for t in found if t[2] == obj]
-
-    return candidates
-
-
-def _tuple_getter(places: list[int]):
-    """`itemgetter(*places)`, but one that gives a tuple for one place or none."""
-    if len(places) > 1:
-        return itemgetter(*places)
-    return itemgetter(slice(places[0], places[0] + 1) if places else slice(0))
 
 
 def join_order(patterns: Sequence[TriplePattern], index: TripleIndex) -> list[TriplePattern]:
@@ -348,43 +308,86 @@ def join_order(patterns: Sequence[TriplePattern], index: TripleIndex) -> list[Tr
 
 def join(
     patterns: Sequence[TriplePattern], index: TripleIndex
-) -> tuple[dict[str, int], list[tuple[Term, ...]]]:
-    """The rows that join `patterns` in the given order, and each variable's
-    place in a row. The join stops at the first step that leaves no rows."""
-    column: dict[str, int] = {}
-    rows: list[tuple[Term, ...]] = [()]
+) -> tuple[int, dict[str, list[Term]]]:
+    """The rows that join `patterns` in the given order, held a column at
+    a time: the number of rows, and each variable's column, one entry per
+    row. Each step matches all the rows at once, in passes over whole
+    columns. A step that binds no variable the rows hold reads the store
+    once and pairs every row with every match. Otherwise it looks every
+    row up: in the subject table of its constant predicate if its subject
+    is bound, else in the object table, or through
+    `TripleIndex.candidates` if its predicate is a variable. A variable
+    that the lookup matched is read off the matches, and every other old
+    column is repeated once per match of its row. The tests the lookup
+    left (a constant or a second bound variable beside the key, or a new
+    variable that fills two places) then filter all the columns together.
+    Rows come out in the order of a row-at-a-time nested loop. The join
+    stops at the first step that leaves no rows."""
+    count, columns = 1, {}
     for pattern in patterns:
-        if not rows:
+        if not count:
             break
-        step = _Step(pattern, column)
-        # `candidates` matched the constants and the bound variables, so a
-        # row only takes the new variables' values
-        get, terms, pick, repeats = step.get, step.terms, step.pick, step.repeats
-        candidates = _keyed_candidates(index.subjects(terms[1])) if step.keyed else index.candidates
-        rows = [
-            row + pick(t)
-            for row in rows
-            for t in candidates(*get(row + terms))
-            if not repeats or all(t[i] == t[j] for i, j in repeats)
-        ]
-        for name in step.new:
-            column[name] = len(column)
-    return column, rows
+        slots = (pattern.subject, pattern.predicate, pattern.object)
+        bound = [isinstance(t, Var) and t.name in columns for t in slots]
+        constants = [None if isinstance(t, Var) else t for t in slots]
+        # each row's matches, and the places whose term the lookup matched
+        checked = (True, True, True)
+        if not any(bound):
+            found = [index.candidates(*constants)] * count
+        elif constants[1] is None:
+            found = list(map(index.candidates, *(
+                columns[t.name] if b else repeat(c) for t, b, c in zip(slots, bound, constants)
+            )))
+        else:
+            key = 0 if bound[0] else 2
+            table = index.subjects(slots[1]) if key == 0 else index.objects(slots[1])
+            found = list(map(table.get, columns[slots[key].name], repeat(())))
+            checked = (key == 0, True, key == 2)
+        matches = list(chain.from_iterable(found))
+        repeats = list(map(len, found))
+        # the old columns, one entry per match
+        read = {t.name: place for place, t in enumerate(slots) if bound[place] and checked[place]}
+        columns = {
+            name: list(map(_PLACE[read[name]], matches))
+            if name in read
+            else list(chain.from_iterable(map(repeat, column, repeats)))
+            for name, column in columns.items()
+        }
+        # each new variable's first place, and the tests left for each match
+        new: dict[str, int] = {}
+        wanted = []
+        for place, term in enumerate(slots):
+            if isinstance(term, Var) and term.name not in columns:
+                if term.name in new:
+                    wanted.append((place, map(_PLACE[new[term.name]], matches)))
+                else:
+                    new[term.name] = place
+            elif not checked[place]:
+                wanted.append((place, columns[term.name] if bound[place] else repeat(term)))
+        if wanted:
+            keep = list(map(all, zip(*(
+                map(eq, map(_PLACE[place], matches), values) for place, values in wanted
+            ))))
+            matches = list(compress(matches, keep))
+            columns = {name: list(compress(column, keep)) for name, column in columns.items()}
+        for name, place in new.items():
+            columns[name] = list(map(_PLACE[place], matches))
+        count = len(matches)
+    return count, columns
 
 
 def eval_sparql(query: SparqlQuery, kb: KnowledgeBase) -> BindingTable:
     index = kb.store
-    column, rows = join(join_order(query.patterns, index), index)
-    if not rows:  # the patterns left unjoined gave their variables no column
+    count, columns = join(join_order(query.patterns, index), index)
+    if not count:  # the patterns left unjoined gave their variables no column
         return BindingTable(header=query.select_vars)
 
-    picked = [column[v] for v in query.select_vars]
-    selected = rows if picked == list(range(len(column))) else list(map(_tuple_getter(picked), rows))
+    selected = list(zip(*(columns[v] for v in query.select_vars)))
     if query.order_by is None:
         selected.sort()
     else:
         var, direction = query.order_by
-        keyed = sorted(zip([_sort_key_for(row[column[var]]) for row in rows], selected))
+        keyed = sorted(zip(map(_sort_key_for, columns[var]), selected))
         if direction == "DESC":
             keyed.sort(key=itemgetter(0), reverse=True)  # stable: ties stay ascending
         selected = [row for _, row in keyed]

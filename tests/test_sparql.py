@@ -12,7 +12,6 @@ from ssdkb.sparql import (
     SparqlSyntaxError,
     TriplePattern,
     Var,
-    _Step,
     eval_sparql,
     join,
     join_order,
@@ -411,8 +410,12 @@ def connected_bgps(draw):
     return SparqlQuery(tuple(select_vars), tuple(patterns), order_by, limit)
 
 
+def _row_count(patterns, store):
+    return join(patterns, store)[0]
+
+
 def _rows_after_each_step(order):
-    return [len(join(order[: i + 1], _SMALL.store)[1]) for i in range(len(order))]
+    return [_row_count(order[: i + 1], _SMALL.store) for i in range(len(order))]
 
 
 @pytest.mark.parametrize(
@@ -436,7 +439,8 @@ def test_type_listing_rows_leave_the_join_sorted():
     # the store keeps its lists in term order, so the join emits the rows
     # of this query in the order that `eval_sparql`'s final sort wants
     query = parse_sparql((QUERIES / "cq_type_of_study.rq").read_text())
-    _, rows = join(join_order(query.patterns, _SMALL.store), _SMALL.store)
+    _, columns = join(join_order(query.patterns, _SMALL.store), _SMALL.store)
+    rows = list(zip(columns["study"], columns["type"]))
     assert len(rows) == 578
     assert rows == sorted(rows)
 
@@ -449,8 +453,7 @@ def test_type_listing_reads_the_type_subject_table():
     first, second = join_order(query.patterns, store)
     assert first == TriplePattern(Var("study"), RDF_TYPE, SINGLE_SUBJECT_DESIGN)
     assert second == TriplePattern(Var("study"), RDF_TYPE, Var("type"))
-    assert _Step(second, {"study": 0}).keyed
-    assert len(join([first, second], store)[1]) == 578
+    assert _row_count([first, second], store) == 578
     assert list(store._subjects) == [RDF_TYPE]
 
 
@@ -520,6 +523,17 @@ def _ex(name):
         ("SELECT ?s WHERE { ?s ex:score 2 }", [("a",), ("b",), ("d",)]),
         # a blank node answer
         ("SELECT ?s ?n WHERE { ?s ex:age ?n }", [("d", "_:n")]),
+        # an all-constant pattern gives each row no column, once per match
+        ("SELECT ?s WHERE { ex:a ex:p ex:b . ?s ex:label \"x\" }", [("a",), ("c",)]),
+        ("SELECT ?s WHERE { ex:a ex:p ex:d . ?s ex:label \"x\" }", []),
+        # a variable predicate whose subject and object are both bound
+        ("SELECT ?x ?y ?p WHERE { ?x ex:p ?y . ?x ?p ?y }", [("a", "a", "p"), ("a", "b", "p"), ("b", "c", "p")]),
+        # an object-table probe that also tests a constant subject
+        ("SELECT ?y WHERE { ?y ex:label \"x\" . ex:a ex:p ?y }", [("a",)]),
+        # a step that leaves no rows before the last one
+        ("SELECT ?x ?v WHERE { ?x ex:label \"y\" . ?x ex:p ?x . ?x ex:score ?v }", []),
+        # two bound variables on one step keyed by the subject
+        ("SELECT ?x ?y WHERE { ?x ex:p ?y . ?y ex:p ?x }", [("a", "a")]),
     ],
 )
 def test_join_and_order_cases(where, expected):
@@ -544,5 +558,5 @@ def test_join_order_takes_a_disconnected_pattern_only_when_no_connected_one_is_l
     )
     order = join_order(query.patterns, kb.store)
     assert order == [query.patterns[i] for i in (3, 0, 1, 2)]
-    assert [len(join(order[: i + 1], kb.store)[1]) for i in range(4)] == [1, 1, 3, 6]
+    assert [_row_count(order[: i + 1], kb.store) for i in range(4)] == [1, 1, 3, 6]
     assert eval_sparql(query, kb).rows == reference_eval_sparql(query, kb).rows
