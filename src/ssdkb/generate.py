@@ -8,18 +8,22 @@ Per-study sub-seeds derive from (seed, study index), so generation is
 reproducible and order-independent. Result values come from
 phase-dependent normal distributions (baseline mean 10, intervention mean
 20, follow-up mean 18, sd 2) so best-result queries are non-degenerate.
+
+The generator adds each study's triples to the graph as it draws them; it
+builds no typed study. The order of the draws is part of the output: each
+value comes from the study's one random stream, so drawing anything in
+another order (a non-multiple-baseline study's outcome comes after its
+results, for one) changes the corpus.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from decimal import Decimal
 
 from . import vocab
-from .kb import KnowledgeBase, graph_to_kb, study_to_triples
-from .model import AgeDescription, MBDItem, Participant, Phase, PhaseKind, Result, Study
-from .terms import RDF_TYPE, Term, aut, gc_paused, ssd
+from .kb import KnowledgeBase, graph_to_kb
+from .terms import RDF_TYPE, BlankNode, Iri, Literal, Term, aut, gc_paused, integer, ssd
 from .turtle import TripleGraph
 
 BASELINE_MEAN = 10.0
@@ -68,81 +72,88 @@ class GenProfile:
     seed: int = 1
 
 
-def _value(rng: random.Random, kind: PhaseKind) -> Decimal:
-    mean = {
-        PhaseKind.BASELINE: BASELINE_MEAN,
-        PhaseKind.SIMPLE_INTERVENTION: INTERVENTION_MEAN,
-        PhaseKind.ALTERNATING_INTERVENTION: INTERVENTION_MEAN,
-        PhaseKind.FOLLOW_UP: FOLLOW_UP_MEAN,
-    }[kind]
-    return Decimal(f"{max(0.0, rng.gauss(mean, VALUE_SD)):.1f}")
+# each phase letter's class, and the mean of its results' values
+_PHASES = {
+    "B": (vocab.BASELINE_PHASE, BASELINE_MEAN),
+    "I": (vocab.SIMPLE_INTERVENTION_PHASE, INTERVENTION_MEAN),
+    "A": (vocab.ALTERNATING_INTERVENTION_PHASE, INTERVENTION_MEAN),
+    "F": (vocab.FOLLOW_UP_PHASE, FOLLOW_UP_MEAN),
+}
+# the phase letters of each single-sequence design
+_SIGNATURE = {"AB": "BI", "ABAB": "BIBI", "ABAB_F": "BIBIF", "AlternatingTreatment": "BA"}
+# what a phase's results need of it: its id, their mean and its intervention types
+_Phase = tuple[Iri, float, tuple[Term, ...]]
 
 
-def _signature_for(design: str) -> str:
-    return {
-        "AB": "BI",
-        "ABAB": "BIBI",
-        "ABAB_F": "BIBIF",
-        "AlternatingTreatment": "BA",
-    }[design]
-
-
-def _make_phases(rng: random.Random, sig: str, prefix: str) -> list[Phase]:
+def _add_phases(
+    graph: TripleGraph, rng: random.Random, owner: Iri, sig: str, prefix: str
+) -> list[_Phase]:
+    """Adds `owner`'s phases, in the order of the letters of `sig`."""
     phases = []
     for pos, letter in enumerate(sig, start=1):
-        kind = PhaseKind(letter)
-        if kind is PhaseKind.SIMPLE_INTERVENTION:
+        phase = ssd(f"{prefix}_ph{pos}")
+        if letter == "I":
             types: tuple[Term, ...] = (rng.choice(INTERVENTIONS),)
-        elif kind is PhaseKind.ALTERNATING_INTERVENTION:
+        elif letter == "A":
             types = tuple(rng.sample(INTERVENTIONS, 2))
         else:
             types = ()
-        phases.append(
-            Phase(id=ssd(f"{prefix}_ph{pos}"), kind=kind, position=pos, intervention_types=types)
-        )
+        graph.add(owner, vocab.HAS_PHASE, phase)
+        phase_class, mean = _PHASES[letter]
+        graph.add(phase, RDF_TYPE, phase_class)
+        graph.add(phase, vocab.HAS_POSITION, integer(pos))
+        for itype in types:
+            graph.add(phase, vocab.HAS_INTERVENTION_TYPE, itype)
+        phases.append((phase, mean, types))
     return phases
 
 
-def _make_results(
-    rng: random.Random,
-    phases: list[Phase],
-    prefix: str,
-    start_instant: int = 1,
-) -> tuple[list[Result], int]:
-    results = []
-    instant = start_instant
+def _add_results(
+    graph: TripleGraph, rng: random.Random, phases: list[_Phase], prefix: str, instant: int = 1
+) -> int:
+    """Adds each phase's results, numbered from `instant` on; returns the
+    next instant."""
     counter = 1
-    for phase in phases:
+    for phase, mean, types in phases:
         for _ in range(rng.randint(*RESULTS_PER_PHASE)):
-            if phase.kind in (PhaseKind.SIMPLE_INTERVENTION, PhaseKind.ALTERNATING_INTERVENTION):
-                itype = rng.choice(phase.intervention_types)
-            else:
-                itype = None
-            results.append(
-                Result(
-                    id=ssd(f"{prefix}_res{counter:03d}"),
-                    value=_value(rng, phase.kind),
-                    instant=instant,
-                    phase_ref=phase.id,
-                    intervention_type=itype,
-                )
-            )
+            itype = rng.choice(types) if types else None
+            value = max(0.0, rng.gauss(mean, VALUE_SD))
+            result = ssd(f"{prefix}_res{counter:03d}")
+            node = BlankNode(f"{prefix}_res{counter:03d}_inst")
+            graph.add(result, RDF_TYPE, vocab.RESULT)
+            graph.add(result, vocab.HAS_VALUE, Literal(f"{value:.1f}", "decimal"))
+            graph.add(result, vocab.OCCURS_IN, node)
+            graph.add(node, RDF_TYPE, vocab.INSTANT)
+            graph.add(node, vocab.HAS_VALUE, integer(instant))
+            graph.add(result, vocab.IS_RESULT_OF_PHASE, phase)
+            if itype is not None:
+                graph.add(result, vocab.HAS_INTERVENTION_TYPE, itype)
             counter += 1
             instant += 1
-    return results, instant
+    return instant
 
 
-def _make_participant(rng: random.Random, prefix: str, index: int) -> Participant:
+def _add_participant(
+    graph: TripleGraph, rng: random.Random, study: Iri, prefix: str, index: int
+) -> Iri:
     years = rng.randint(2, 16)
     months = rng.randint(0, 11)
     diag_years = rng.randint(1, years)
-    return Participant(
-        id=ssd(f"{prefix}_p{index}"),
-        condition=ssd(rng.choice(CONDITIONS)),
-        gender=ssd(rng.choice(GENDERS)),
-        age=AgeDescription(years=years, months=months),
-        diagnosed_at_age=AgeDescription(years=diag_years),
-    )
+    participant = ssd(f"{prefix}_p{index}")
+    graph.add(study, vocab.HAS_PARTICIPANT, participant)
+    graph.add(participant, RDF_TYPE, vocab.PARTICIPANT)
+    graph.add(participant, vocab.HAS_CONDITION, ssd(rng.choice(CONDITIONS)))
+    graph.add(participant, vocab.HAS_GENDER, ssd(rng.choice(GENDERS)))
+    age = BlankNode(f"{prefix}_p{index}_hasAge")
+    graph.add(participant, vocab.HAS_AGE, age)
+    graph.add(age, RDF_TYPE, vocab.AGE_DESCRIPTION)
+    graph.add(age, vocab.YEARS, integer(years))
+    graph.add(age, vocab.MONTHS, integer(months))
+    diagnosed = BlankNode(f"{prefix}_p{index}_diagnosedAtAge")
+    graph.add(participant, vocab.DIAGNOSED_AT_AGE, diagnosed)
+    graph.add(diagnosed, RDF_TYPE, vocab.AGE_DESCRIPTION)
+    graph.add(diagnosed, vocab.YEARS, integer(diag_years))
+    return participant
 
 
 def _draw_design(index: int, profile: GenProfile) -> tuple[str, random.Random]:
@@ -151,72 +162,53 @@ def _draw_design(index: int, profile: GenProfile) -> tuple[str, random.Random]:
     return rng.choices(_DESIGNS, weights=_WEIGHTS, k=1)[0], rng
 
 
-def _generate_study(index: int, profile: GenProfile) -> Study:
+def _add_study(graph: TripleGraph, index: int, profile: GenProfile) -> None:
     design, rng = _draw_design(index, profile)
     prefix = f"study{index:05d}"
-    study_id = ssd(prefix)
+    study = ssd(prefix)
+    graph.add(study, RDF_TYPE, DESIGN_CLASS[design])
+    participants = [
+        _add_participant(graph, rng, study, prefix, i)
+        for i in range(1, rng.randint(*PARTICIPANTS_PER_STUDY) + 1)
+    ]
 
-    n_participants = rng.randint(*PARTICIPANTS_PER_STUDY)
-    participants = tuple(
-        _make_participant(rng, prefix, i + 1) for i in range(n_participants)
-    )
-
-    if design in ("AB", "ABAB", "ABAB_F", "AlternatingTreatment"):
-        phases = _make_phases(rng, _signature_for(design), prefix)
-        results, _ = _make_results(rng, phases, prefix)
-        return Study(
-            id=study_id,
-            participants=participants,
-            outcomes=(rng.choice(OUTCOMES),),
-            phases=tuple(phases),
-            results=tuple(results),
-            asserted_class=DESIGN_CLASS[design],
-        )
+    if design in _SIGNATURE:
+        phases = _add_phases(graph, rng, study, _SIGNATURE[design], prefix)
+        _add_results(graph, rng, phases, prefix)
+        # the outcome is drawn after the results
+        graph.add(study, vocab.HAS_OUTCOME, rng.choice(OUTCOMES))
+        return
 
     # multiple-baseline designs: 2-3 parallel items, varying in one dimension
     n_items = rng.randint(2, 3)
     base_outcome = rng.choice(OUTCOMES)
     base_setting = ssd(rng.choice(SETTINGS))
-    base_subject = participants[0].id
+    graph.add(study, vocab.HAS_OUTCOME, base_outcome)
+    graph.add(study, vocab.HAS_MBD_ITEM_TYPE, vocab.SIMPLE_DESIGN)
+    base_subject = participants[0]
     if design == "AcrossSettingMBD":
-        settings = [ssd(s) for s in rng.sample(SETTINGS, n_items)]
-        dims = [(base_subject, settings[i], base_outcome) for i in range(n_items)]
+        dims = [(base_subject, ssd(s), base_outcome) for s in rng.sample(SETTINGS, n_items)]
     elif design == "AcrossSubjectMBD":
-        while len(participants) < n_items:
-            participants = participants + (
-                _make_participant(rng, prefix, len(participants) + 1),
-            )
-        dims = [(participants[i].id, base_setting, base_outcome) for i in range(n_items)]
+        # one participant per item
+        participants += [
+            _add_participant(graph, rng, study, prefix, i)
+            for i in range(len(participants) + 1, n_items + 1)
+        ]
+        dims = [(subject, base_setting, base_outcome) for subject in participants[:n_items]]
     else:  # AcrossOutcomeMBD
-        item_outcomes = rng.sample(OUTCOMES, n_items)
-        dims = [(base_subject, base_setting, item_outcomes[i]) for i in range(n_items)]
+        dims = [(base_subject, base_setting, o) for o in rng.sample(OUTCOMES, n_items)]
 
-    items = []
-    all_results = []
     instant = 1
     for i, (subject, setting, outcome) in enumerate(dims, start=1):
         item_prefix = f"{prefix}_item{i}"
-        phases = _make_phases(rng, "BI", item_prefix)
-        results, instant = _make_results(rng, phases, item_prefix, instant)
-        all_results.extend(results)
-        items.append(
-            MBDItem(
-                id=ssd(item_prefix),
-                subject=subject,
-                setting=setting,
-                outcome=outcome,
-                phases=tuple(phases),
-            )
-        )
-    return Study(
-        id=study_id,
-        participants=participants,
-        outcomes=(base_outcome,),
-        mbd_items=tuple(items),
-        mbd_item_type=vocab.SIMPLE_DESIGN,
-        results=tuple(all_results),
-        asserted_class=DESIGN_CLASS[design],
-    )
+        item = ssd(item_prefix)
+        graph.add(study, vocab.HAS_MBD_ITEM, item)
+        graph.add(item, RDF_TYPE, vocab.MBD_ITEM)
+        graph.add(item, vocab.HAS_PARTICIPANT, subject)
+        graph.add(item, vocab.HAS_SETTING, setting)
+        graph.add(item, vocab.HAS_OUTCOME, outcome)
+        phases = _add_phases(graph, rng, item, "BI", item_prefix)
+        instant = _add_results(graph, rng, phases, item_prefix, instant)
 
 
 def generated_design(index: int, profile: GenProfile) -> str:
@@ -238,8 +230,7 @@ def generate_graph(n: int, profile: GenProfile | None = None) -> TripleGraph:
             graph.add(iri, RDF_TYPE, vocab.COMMUNICATION_OUTCOME)
             graph.add(iri, vocab.IN_FORM_OF, ssd("percentage"))
     for index in range(n):
-        study = _generate_study(index, profile)
-        graph.triples.update(study_to_triples(study))
+        _add_study(graph, index, profile)
     return graph
 
 

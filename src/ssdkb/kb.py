@@ -2,8 +2,10 @@
 the one triple store over it that every later layer reads.
 
 graph_to_kb builds the store and lifts the graph into the typed model through
-it; kb_to_graph is its inverse and additionally emits inferred type triples
+it; kb_to_graph gives back the kb's graph, plus the inferred type triples
 once the kb has been materialized. Unknown predicates survive untouched.
+Nothing turns a typed study back into triples: the generator writes its
+triples directly.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .model import (
     Result,
     Study,
     Violation,
-    KIND_TO_PHASE_CLASS,
     PHASE_CLASS_TO_KIND,
     validate_study,
 )
@@ -36,7 +37,6 @@ from .terms import (
     RDF_TYPE,
     Term,
     gc_paused,
-    integer,
     local_name,
 )
 from .turtle import Triple, TripleGraph
@@ -458,81 +458,13 @@ def validate_kb(kb: KnowledgeBase) -> list[Violation]:
     return out
 
 
-# --- typed model -> graph ---
+# --- kb -> graph ---
 
 
 def kb_to_graph(kb: KnowledgeBase) -> TripleGraph:
     """Asserted triples, plus inferred type triples when materialized."""
     triples = dict.fromkeys(chain(kb.graph.triples, kb.inferred))
     return TripleGraph(prefix_table=dict(kb.graph.prefix_table), triples=triples)
-
-
-def study_to_triples(study: Study) -> dict[Triple, None]:
-    """Triples asserting one typed study (used by the generator), as an
-    ordered set."""
-    triples: dict[Triple, None] = {}
-
-    def add(s: Term, p: Iri, o: Term) -> None:
-        triples[Triple(s, p, o)] = None
-
-    asserted = study.asserted_class or vocab.SINGLE_SUBJECT_DESIGN
-    add(study.id, RDF_TYPE, asserted)
-    for participant in study.participants:
-        add(study.id, vocab.HAS_PARTICIPANT, participant.id)
-        add(participant.id, RDF_TYPE, vocab.PARTICIPANT)
-        if participant.condition is not None:
-            add(participant.id, vocab.HAS_CONDITION, participant.condition)
-        if participant.gender is not None:
-            add(participant.id, vocab.HAS_GENDER, participant.gender)
-        for prop, age in (
-            (vocab.HAS_AGE, participant.age),
-            (vocab.DIAGNOSED_AT_AGE, participant.diagnosed_at_age),
-        ):
-            if age is None:
-                continue
-            node = BlankNode(f"{local_name(participant.id)}_{local_name(prop)}")
-            add(participant.id, prop, node)
-            add(node, RDF_TYPE, vocab.AGE_DESCRIPTION)
-            add(node, vocab.YEARS, integer(age.years))
-            if age.months is not None:
-                add(node, vocab.MONTHS, integer(age.months))
-    for outcome in study.outcomes:
-        add(study.id, vocab.HAS_OUTCOME, outcome)
-
-    def emit_phase(owner: Term, phase: Phase) -> None:
-        add(owner, vocab.HAS_PHASE, phase.id)
-        add(phase.id, RDF_TYPE, KIND_TO_PHASE_CLASS[phase.kind])
-        add(phase.id, vocab.HAS_POSITION, integer(phase.position))
-        for it in phase.intervention_types:
-            add(phase.id, vocab.HAS_INTERVENTION_TYPE, it)
-
-    for phase in study.phases:
-        emit_phase(study.id, phase)
-    if study.mbd_item_type is not None:
-        add(study.id, vocab.HAS_MBD_ITEM_TYPE, study.mbd_item_type)
-    for item in study.mbd_items:
-        add(study.id, vocab.HAS_MBD_ITEM, item.id)
-        add(item.id, RDF_TYPE, vocab.MBD_ITEM)
-        if item.subject is not None:
-            add(item.id, vocab.HAS_PARTICIPANT, item.subject)
-        if item.setting is not None:
-            add(item.id, vocab.HAS_SETTING, item.setting)
-        if item.outcome is not None:
-            add(item.id, vocab.HAS_OUTCOME, item.outcome)
-        for phase in item.phases:
-            emit_phase(item.id, phase)
-
-    for result in study.results:
-        add(result.id, RDF_TYPE, vocab.RESULT)
-        add(result.id, vocab.HAS_VALUE, Literal(str(result.value), "decimal"))
-        instant_node = BlankNode(f"{local_name(result.id)}_inst")
-        add(result.id, vocab.OCCURS_IN, instant_node)
-        add(instant_node, RDF_TYPE, vocab.INSTANT)
-        add(instant_node, vocab.HAS_VALUE, integer(result.instant))
-        add(result.id, vocab.IS_RESULT_OF_PHASE, result.phase_ref)
-        if result.intervention_type is not None:
-            add(result.id, vocab.HAS_INTERVENTION_TYPE, result.intervention_type)
-    return triples
 
 
 # --- stats ---

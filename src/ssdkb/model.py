@@ -25,7 +25,6 @@ PHASE_CLASS_TO_KIND = {
     vocab.ALTERNATING_INTERVENTION_PHASE: PhaseKind.ALTERNATING_INTERVENTION,
     vocab.FOLLOW_UP_PHASE: PhaseKind.FOLLOW_UP,
 }
-KIND_TO_PHASE_CLASS = {kind: cls for cls, kind in PHASE_CLASS_TO_KIND.items()}
 
 
 @dataclass(frozen=True)

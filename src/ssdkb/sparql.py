@@ -75,7 +75,7 @@ class BindingTable:
     def to_tsv(self) -> str:
         lines = ["\t".join(f"?{v}" for v in self.header)]
         for row in self.rows:
-            lines.append("\t".join(_term_text(t) for t in row))
+            lines.append("\t".join(_term_text(t).translate(_TSV_ESCAPES) for t in row))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -84,6 +84,11 @@ class BindingTable:
             for row in self.rows
         ]
         return json.dumps(out, indent=2) + "\n"
+
+
+# what a TSV cell escapes, as SPARQL 1.1's TSV results do inside literals,
+# so a cell never holds a raw tab or line break
+_TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
 
 
 def _term_text(term: Term) -> str:

@@ -2,9 +2,11 @@
 
 Supported grammar: `@prefix` directives, prefixed names, absolute IRIs in
 angle brackets, the `a` keyword, `;` predicate lists, `.` terminators,
-`_:label` blank nodes, integer/decimal/quoted-string literals, and
-`#` comments. Collections, language tags and numeric exponents are out of
-scope.
+`_:label` blank nodes, integer/decimal/short quoted-string literals, and
+`#` comments. Every other form is a syntax error: `,` object lists, `[ … ]`
+blank-node property lists, `( … )` collections, typed literals,
+language-tagged strings, long strings, `PREFIX`, `BASE` and `@base`, the
+booleans and doubles (README, "Reading Turtle", lists them with examples).
 
 The reader makes one pass over the text. Its line reader splits each line
 at `\n` (where a `#` comment ends) and the line at whitespace, and reads

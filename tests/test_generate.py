@@ -27,14 +27,20 @@ def test_same_seed_gives_identical_serialization():
     assert a == b
 
 
-def test_generated_bytes_are_pinned():
-    # the sha256 of 50 studies at seed 1; any change to the generator's
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (50, "559410dc83c834b6406a61b9a03171d9705d5471f3b9a8cf5995f4fb4f4ee255"),
+        # study00063 is the first across-subject study drawn with one
+        # participant and three items, so the top-up adds two participants
+        (64, "408c9199a51c80a249d02f5531ec6d0c19bbc60f318d318e7af5e6bc59ae941d"),
+    ],
+)
+def test_generated_bytes_are_pinned(n, digest):
+    # the sha256 of n studies at seed 1; any change to the generator's
     # draws or the serializer's text changes it
-    text = serialize_turtle(generate_graph(50, GenProfile(seed=1)))
-    assert (
-        hashlib.sha256(text.encode()).hexdigest()
-        == "559410dc83c834b6406a61b9a03171d9705d5471f3b9a8cf5995f4fb4f4ee255"
-    )
+    text = serialize_turtle(generate_graph(n, GenProfile(seed=1)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_different_seeds_differ():

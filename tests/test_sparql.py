@@ -216,6 +216,29 @@ def test_tsv_and_json_output(ab_mat):
     assert rows == [{"study": "ab01", "interType": "weekendInterview", "val": "20.4"}]
 
 
+def test_tsv_escapes_tabs_line_breaks_and_backslashes():
+    # each row stays one line of two cells; JSON keeps the text as it is
+    kb = graph_to_kb(
+        parse_turtle(
+            "@prefix ssd: <http://bdi.si.ehu.es/bdi/ontologies/SSDOnt/SSDOnt#> .\n"
+            'ssd:a ssd:note "x\\ty" . ssd:b ssd:note "two\\nlines" .\n'
+            'ssd:c ssd:note "back\\\\slash\\r" .\n'
+        )
+    )
+    table = eval_sparql(parse_sparql("SELECT ?s ?o WHERE { ?s ssid:note ?o }"), kb)
+    assert table.to_tsv().splitlines() == [
+        "?s\t?o",
+        "a\tx\\ty",
+        "b\ttwo\\nlines",
+        "c\tback\\\\slash\\r",
+    ]
+    assert [row["o"] for row in json.loads(table.to_json())] == [
+        "x\ty",
+        "two\nlines",
+        "back\\slash\r",
+    ]
+
+
 def test_deterministic_row_order(fig3_mat):
     text = (QUERIES / "cq_type_of_study.rq").read_text()
     query = parse_sparql(text)
