@@ -169,6 +169,26 @@ def test_lift_takes_the_least_of_several_values(reverse):
     assert paul.condition == ssd("adhd")
 
 
+@pytest.mark.parametrize(
+    "types, asserted",
+    [
+        # of two design classes, the deeper one
+        ("ssd:SimpleDesign ; a ssd:AB_Design", "AB_Design"),
+        ("ssd:AB_Design ; a ssd:SingleSubjectDesign", "AB_Design"),
+        # of two at one depth, the one whose IRI text sorts first
+        ("ssd:AB_Design ; a ssd:ABAB_Design", "ABAB_Design"),
+        ("ssd:ABAB_Design ; a ssd:AB_Design", "ABAB_Design"),
+        # a class outside the designs, or outside the taxonomy, is no design
+        ("ssd:Participant ; a ssd:Zebra ; a ssd:AB_Design ; a ssd:WithdrawalDesign", "AB_Design"),
+        ("ssd:Participant ; a ssd:Zebra ; a ssd:AB_Design ; a ssd:ABAB_Design", "ABAB_Design"),
+    ],
+)
+def test_asserted_class_is_the_most_specific_design(types, asserted):
+    text = f"{_SSD_PREFIX}ssd:s a {types} .\n"
+    (study,) = graph_to_kb(parse_turtle(text)).studies
+    assert study.asserted_class == ssd(asserted)
+
+
 def _subject_lists(store):
     return [found for p in store.by_p for found in store.subjects(p).values()]
 
