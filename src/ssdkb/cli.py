@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 from .bench import ENGINES, load_queries, run_bench
@@ -23,8 +24,7 @@ from .dlquery import DlEvalError, DlSyntaxError, eval_dl_query, parse_dl_query
 from .generate import GenProfile, generate_graph
 from .kb import KnowledgeBase, SchemaError, graph_to_kb, kb_stats, validate_kb
 from .sparql import SparqlSyntaxError, eval_sparql, parse_sparql
-from .terms import Iri, local_name
-from .turtle import TurtleSyntaxError, parse_turtle, serialize_turtle
+from .turtle import TurtleSyntaxError, display_names, parse_turtle, serialize_turtle
 
 
 def _load_kb(path: str) -> KnowledgeBase:
@@ -50,13 +50,11 @@ def _cmd_classify(args) -> int:
         for v in violations:
             print(v, file=sys.stderr)
         return 1
-    for study in kb.studies:
-        classification = classify_study(study, kb.taxonomy)
-        names = sorted(
-            classification.classes,
-            key=lambda c: (-kb.taxonomy.depth(c), c.value),
-        )
-        print(f"{local_name(study.id)}: " + ", ".join(local_name(c) for c in names))
+    found = [(study.id, classify_study(study, kb.taxonomy)) for study in kb.studies]
+    names = display_names(chain.from_iterable((node, *c.classes) for node, c in found))
+    for node, classification in found:
+        classes = sorted(classification.classes, key=lambda c: (-kb.taxonomy.depth(c), c.value))
+        print(f"{names[node]}: " + ", ".join(names[c] for c in classes))
         for warning in classification.warnings:
             print(f"warning: {warning}", file=sys.stderr)
     return 0
@@ -72,11 +70,12 @@ def _cmd_query(args) -> int:
     if args.dl:
         expr = parse_dl_query(text)
         members = sorted(eval_dl_query(expr, kb))
+        names = display_names(members)
         if args.format == "json":
-            print(json.dumps([_display(m) for m in members], indent=2))
+            print(json.dumps([names[m] for m in members], indent=2))
         else:
             for member in members:
-                print(_display(member))
+                print(names[member])
     else:
         query = parse_sparql(text)
         table = eval_sparql(query, kb)
@@ -85,10 +84,6 @@ def _cmd_query(args) -> int:
         else:
             print(table.to_tsv(), end="")
     return 0
-
-
-def _display(term) -> str:
-    return local_name(term) if isinstance(term, Iri) else str(term)
 
 
 def _cmd_gen(args) -> int:

@@ -37,9 +37,8 @@ from .terms import (
     RDF_TYPE,
     Term,
     gc_paused,
-    local_name,
 )
-from .turtle import Triple, TripleGraph
+from .turtle import Triple, TripleGraph, display_names, grouped
 
 
 class SchemaError(Exception):
@@ -62,10 +61,11 @@ class TripleIndex:
     built per key at its first use, from `by_p`, and kept: each
     predicate's subject table (`subjects`) and object table (`objects`),
     each class's members (`members`), and the sorted `numbers` that a DL
-    facet reads. The planners' `stats` are the sizes of a predicate's
-    tables, so counting a predicate builds them. A load pays for `by_p`
-    alone, and a query for the tables of the predicates and classes it
-    reads or counts.
+    facet reads. `turtle.grouped`, the one grouping of triples by a term,
+    builds `by_p` and the subject and object tables. The planners' `stats`
+    are the sizes of a predicate's tables, so counting a predicate builds
+    them. A load pays for `by_p` alone, and a query for the tables of the
+    predicates and classes it reads or counts.
 
     The lists keep the order of `all`, which is the order given:
     `graph_to_kb` gives term order and `extended` appends its triples in
@@ -82,9 +82,7 @@ class TripleIndex:
         self._members: dict[Iri, set[Term]] = {}
         self._nodes: set[Term] | None = None
         self.all = list(triples)
-        self.by_p: dict[Iri, list[Triple]] = {}
-        for t in self.all:
-            self.by_p.setdefault(t[1], []).append(t)
+        self.by_p: dict[Iri, list[Triple]] = grouped(self.all, 1)
 
     def extended(self, triples) -> "TripleIndex":
         """A store over this store's triples plus `triples`, none of which
@@ -133,7 +131,7 @@ class TripleIndex:
         store's own, which callers must not change."""
         found = self._subjects.get(predicate)
         if found is None:
-            found = self._subjects[predicate] = _grouped(self.by_p.get(predicate, ()), 0)
+            found = self._subjects[predicate] = grouped(self.by_p.get(predicate, ()), 0)
             # after an extension a subject's type triples come in two runs;
             # sorting the lists that hold more than one triple costs less
             # than sorting `all`, and copies nothing
@@ -148,7 +146,7 @@ class TripleIndex:
         own, which callers must not change."""
         found = self._objects.get(predicate)
         if found is None:
-            found = self._objects[predicate] = _grouped(self.by_p.get(predicate, ()), 2)
+            found = self._objects[predicate] = grouped(self.by_p.get(predicate, ()), 2)
         return found
 
     def members(self, cls: Iri) -> set[Term]:
@@ -189,16 +187,6 @@ class TripleIndex:
             )
             found = self._numbers[predicate] = ([v for v, _ in pairs], [s for _, s in pairs])
         return found
-
-
-@gc_paused()
-def _grouped(triples: list[Triple], position: int) -> dict[Term, list[Triple]]:
-    """`triples` grouped by their term at `position`, each list in the
-    order of `triples`."""
-    table: dict[Term, list[Triple]] = {}
-    for t in triples:
-        table.setdefault(t[position], []).append(t)
-    return table
 
 
 @dataclass(frozen=True)
@@ -334,39 +322,16 @@ def _read_result(node: Term, rows: list[Triple], by_s: defaultdict) -> Result:
     )
 
 
-def _asserted_design(rows: list[Triple], taxonomy: Taxonomy) -> Iri | None:
-    designs = [
-        t
-        for t in _objects(rows, RDF_TYPE)
-        if isinstance(t, Iri)
-        and taxonomy.contains(t)
-        and taxonomy.is_subclass_of(t, vocab.SINGLE_SUBJECT_DESIGN)
-    ]
-    if not designs:
-        return None
-    # most specific asserted design class
-    designs.sort(key=lambda c: (-taxonomy.depth(c), c.value))
-    return designs[0]
-
-
 @gc_paused()
 def graph_to_kb(graph: TripleGraph, taxonomy: Taxonomy | None = None) -> KnowledgeBase:
     """Lift a triple graph to typed studies. Raises SchemaError on type
     clashes and dangling references; structural problems beyond that are
     left for validate_study. Each node is read from its own triples,
-    grouped by subject for this call only, so the kb keeps no such table.
-    The grouping probes its table once per run of triples that share one
-    subject instance, and a subject's later runs extend its group: a graph
-    in the text's order, as `parse_turtle` gives it, costs one probe per
-    statement, and any order of the same triples gives the same kb."""
+    grouped by subject for this call only, so the kb keeps no such table;
+    a node with no triples reads as an empty group. Each group is sorted,
+    so any order of the same triples gives the same kb."""
     taxonomy = taxonomy or core_taxonomy()
-    by_s: defaultdict[Term, list[Triple]] = defaultdict(list)
-    last = None
-    for t in graph.triples:
-        if t[0] is not last:
-            last = t[0]
-            rows = by_s[last]
-        rows.append(t)
+    by_s: defaultdict[Term, list[Triple]] = defaultdict(list, grouped(graph.triples, 0))
     for rows in by_s.values():
         rows.sort()
     # the store takes the sorted groups in (kind, text) order of their
@@ -379,15 +344,12 @@ def graph_to_kb(graph: TripleGraph, taxonomy: Taxonomy | None = None) -> Knowled
     store = TripleIndex(chain.from_iterable(map(by_s.__getitem__, subjects)))
     typed = store.objects(RDF_TYPE)
 
-    study_nodes = sorted(
-        {
-            node
-            for cls, triples in typed.items()
-            if taxonomy.contains(cls)
-            and taxonomy.is_subclass_of(cls, vocab.SINGLE_SUBJECT_DESIGN)
-            for node, _, _ in triples
-        }
-    )
+    # each study node's type triples of design classes, the most specific
+    # class first and, of equal depth, the one whose IRI sorts first
+    classes = [c for c in typed if taxonomy.contains(c)]
+    classes = [c for c in classes if taxonomy.is_subclass_of(c, vocab.SINGLE_SUBJECT_DESIGN)]
+    classes.sort(key=lambda c: (-taxonomy.depth(c), c.value))
+    designs = grouped(chain.from_iterable(map(typed.__getitem__, classes)), 0)
 
     def phases_of(rows: list[Triple]) -> tuple[Phase, ...]:
         """The phases of a study or an MBD item, by position."""
@@ -406,7 +368,7 @@ def graph_to_kb(graph: TripleGraph, taxonomy: Taxonomy | None = None) -> Knowled
             raise SchemaError("result references a phase that does not exist", phase_ref)
 
     studies = []
-    for node in study_nodes:
+    for node in sorted(designs):
         rows = by_s[node]
         participants = tuple(
             _read_participant(p, by_s[p], by_s) for p in _objects(rows, vocab.HAS_PARTICIPANT)
@@ -445,7 +407,7 @@ def graph_to_kb(graph: TripleGraph, taxonomy: Taxonomy | None = None) -> Knowled
                 mbd_items=tuple(items),
                 mbd_item_type=item_type,
                 results=results,
-                asserted_class=_asserted_design(rows, taxonomy),
+                asserted_class=designs[node][0][2],
             )
         )
     return KnowledgeBase(graph=graph, taxonomy=taxonomy, store=store, studies=tuple(studies))
@@ -498,12 +460,10 @@ def kb_stats(kb: KnowledgeBase) -> KbStats:
         o for o in objects if isinstance(o, BlankNode) or isinstance(o, Iri) and not is_class(o)
     )
     # the store's triples are distinct, so each class has one type triple
-    # per member
-    per_class: dict[str, int] = {}
-    for cls, triples in store.objects(RDF_TYPE).items():
-        if isinstance(cls, Iri):
-            name = local_name(cls)
-            per_class[name] = per_class.get(name, 0) + len(triples)
+    # per member; two classes that share a local name keep their counts apart
+    typed = store.objects(RDF_TYPE)
+    names = display_names(cls for cls in typed if isinstance(cls, Iri))
+    per_class = {names[cls]: len(triples) for cls, triples in typed.items() if cls in names}
     return KbStats(
         study_count=len(kb.studies),
         triple_count=len(store.all),

@@ -28,14 +28,13 @@ from . import scan
 from .kb import KnowledgeBase, TripleIndex
 from .terms import (
     DEFAULT_PREFIXES,
-    BlankNode,
     Iri,
     Literal,
     RDF_TYPE,
     Term,
-    local_name,
     unescape,
 )
+from .turtle import display_names
 
 
 class SparqlSyntaxError(Exception):
@@ -73,30 +72,21 @@ class BindingTable:
     rows: list[tuple[Term, ...]] = field(default_factory=list)
 
     def to_tsv(self) -> str:
+        names = display_names(chain.from_iterable(self.rows))
         lines = ["\t".join(f"?{v}" for v in self.header)]
         for row in self.rows:
-            lines.append("\t".join(_term_text(t).translate(_TSV_ESCAPES) for t in row))
+            lines.append("\t".join(names[t].translate(_TSV_ESCAPES) for t in row))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        out = [
-            {var: _term_text(term) for var, term in zip(self.header, row)}
-            for row in self.rows
-        ]
+        names = display_names(chain.from_iterable(self.rows))
+        out = [{var: names[term] for var, term in zip(self.header, row)} for row in self.rows]
         return json.dumps(out, indent=2) + "\n"
 
 
 # what a TSV cell escapes, as SPARQL 1.1's TSV results do inside literals,
 # so a cell never holds a raw tab or line break
 _TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
-
-
-def _term_text(term: Term) -> str:
-    if isinstance(term, Iri):
-        return local_name(term)
-    if isinstance(term, BlankNode):
-        return f"_:{term.label}"
-    return term.lexical
 
 
 # --- parser ---

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -48,6 +48,7 @@ from .terms import (
     Term,
     _Tagged,
     gc_paused,
+    local_name,
     unescape,
 )
 
@@ -70,6 +71,17 @@ class Triple(_Tagged):
         if not isinstance(predicate, Iri):
             raise ValueError(f"predicate must be an IRI, got {predicate!r}")
         return tuple.__new__(cls, (subject, predicate, object))
+
+
+@gc_paused()
+def grouped(triples, position: int) -> dict[Term, list[Triple]]:
+    """`triples` grouped by their term at `position`, each list in the
+    order of `triples`: the one grouping that the store's tables, the lift
+    and the serializer share."""
+    table: dict[Term, list[Triple]] = {}
+    for t in triples:
+        table.setdefault(t[position], []).append(t)
+    return table
 
 
 @dataclass
@@ -398,6 +410,24 @@ def _render(term: Iri | Literal, ns_to_label: dict[str, str]) -> str:
     return str(term)
 
 
+def display_names(terms) -> dict[Term, str]:
+    """The text of each of `terms`, the terms of one answer, as a command
+    prints it: an IRI as its local name, a blank node as `_:label` and a
+    literal as its lexical form. Where two IRIs of the answer share a local
+    name, each is written as a prefixed name over `DEFAULT_PREFIXES`
+    instead, or whole as `<…>` in no known namespace."""
+    names = {
+        t: local_name(t) if isinstance(t, Iri) else t.lexical if isinstance(t, Literal) else str(t)
+        for t in set(terms)
+    }
+    shared = Counter(name for t, name in names.items() if isinstance(t, Iri))
+    ns_to_label = _prefix_map(DEFAULT_PREFIXES)
+    for t, name in names.items():
+        if shared[name] > 1 and isinstance(t, Iri):
+            names[t] = _render(t, ns_to_label)
+    return names
+
+
 def _block_order(t: Triple) -> tuple:
     """Sort key within one subject's block: rdf:type first, then by
     predicate and object."""
@@ -423,11 +453,10 @@ def serialize_turtle(graph: TripleGraph) -> str:
         for label in sorted(graph.prefix_table)
     ]
 
-    # Sorting the subjects and then each short block costs far less than
-    # one sort of every triple on nested keys, and gives the same order.
-    by_subject: defaultdict[Term, list[Triple]] = defaultdict(list)
-    for t in graph.triples:
-        by_subject[t[0]].append(t)
+    # Grouping by subject, then sorting the subjects and each short block,
+    # costs far less than one sort of every triple on nested keys, and
+    # gives the same order.
+    by_subject = grouped(graph.triples, 0)
 
     # Each distinct term is rendered once per call. Rendering meets terms
     # in the order of the text, so a blank node takes the next number there.

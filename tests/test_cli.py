@@ -192,6 +192,51 @@ def test_query_sparql_file(capsys):
     assert lines[1] == "ab01\tweekendInterview\t20.4"
 
 
+# each IRI of the fixture's answers that shares a local name with another
+# is written as a prefixed name, or whole in no known namespace
+_SHARED = ["ssd:x", "aut:x", "<http://example.org/x>"]
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (
+            ["--sparql", "-e", "SELECT ?s ?o WHERE { ?s ssid:note ?o }"],
+            "?s\t?o\n" + "".join(f"{s}\tk\n" for s in _SHARED),
+        ),
+        (
+            ["--sparql", "--format", "json", "-e", "SELECT ?s ?o WHERE { ?s ssid:note ?o }"],
+            json.dumps([{"s": s, "o": "k"} for s in _SHARED], indent=2) + "\n",
+        ),
+        (["--dl", "-e", "note value k"], "".join(f"{s}\n" for s in _SHARED)),
+        (["--dl", "--format", "json", "-e", "note value k"], json.dumps(_SHARED, indent=2) + "\n"),
+    ],
+    ids=["sparql-tsv", "sparql-json", "dl-text", "dl-json"],
+)
+def test_query_answers_keep_iris_apart(argv, out, capsys):
+    assert main(["query", *argv, fixture("two_namespaces.ttl")]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_stats_keeps_classes_apart(capsys):
+    assert main(["stats", fixture("two_namespaces.ttl")]) == 0
+    assert capsys.readouterr().out.splitlines()[-5:] == [
+        "class AB_Design: 2",
+        "class BaselinePhase: 2",
+        "class SimpleInterventionPhase: 2",
+        "class aut:C: 1",
+        "class ssd:C: 1",
+    ]
+
+
+def test_classify_keeps_studies_apart(capsys):
+    assert main(["classify", fixture("two_namespaces.ttl")]) == 0
+    assert capsys.readouterr().out == (
+        "ssd:s1: AB_Design, SimpleDesign, SingleSubjectDesign\n"
+        "aut:s1: AB_Design, SimpleDesign, SingleSubjectDesign\n"
+    )
+
+
 def test_query_bad_expression(capsys):
     assert main(["query", "--dl", "-e", "Result and", fixture("fig3.ttl")]) == 2
     assert "error:" in capsys.readouterr().err

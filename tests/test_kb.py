@@ -25,7 +25,7 @@ from ssdkb.kb import (
 from ssdkb.model import PhaseKind, age_in_months
 from ssdkb.taxonomy import core_taxonomy
 from ssdkb.terms import RDF_TYPE, BlankNode, Iri, Literal, aut, local_name, ssd
-from ssdkb.turtle import Triple, parse_turtle, serialize_turtle
+from ssdkb.turtle import Triple, display_names, parse_turtle, serialize_turtle
 
 
 def test_fig3_lifts_to_typed_model(fig3_kb):
@@ -482,7 +482,8 @@ def test_empty_kb_stats():
 
 def reference_kb_stats(kb):
     """kb_stats as it was before it read the per-class counts from the
-    store's type_index: one pass over the triples, field by field."""
+    store's type_index: one pass over the triples, field by field. Each
+    class is counted by its IRI, then named by `display_names`."""
     individuals = set()
     per_class = {}
     for t in kb.store.all:
@@ -490,16 +491,16 @@ def reference_kb_stats(kb):
             individuals.add(t.subject)
         if t.predicate == RDF_TYPE:
             if isinstance(t.object, Iri):
-                name = local_name(t.object)
-                per_class[name] = per_class.get(name, 0) + 1
+                per_class[t.object] = per_class.get(t.object, 0) + 1
         elif isinstance(t.object, (Iri, BlankNode)):
             if not (isinstance(t.object, Iri) and kb.taxonomy.contains(t.object)):
                 individuals.add(t.object)
+    names = display_names(per_class)
     return KbStats(
         study_count=len(kb.studies),
         triple_count=len(kb.store.all),
         individual_count=len(individuals),
-        per_class_counts=dict(sorted(per_class.items())),
+        per_class_counts=dict(sorted((names[c], n) for c, n in per_class.items())),
     )
 
 

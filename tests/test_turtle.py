@@ -11,8 +11,15 @@ from isomorphism import isomorphic
 from ssdkb import scan, turtle
 from ssdkb.generate import GenProfile, generate_graph
 from ssdkb.kb import graph_to_kb
-from ssdkb.terms import BlankNode, Iri, Literal, RDF_TYPE, SSD_NS, Term, ssd, unescape
-from ssdkb.turtle import Triple, TripleGraph, TurtleSyntaxError, parse_turtle, serialize_turtle
+from ssdkb.terms import BlankNode, Iri, Literal, RDF_TYPE, SSD_NS, Term, aut, ssd, unescape
+from ssdkb.turtle import (
+    Triple,
+    TripleGraph,
+    TurtleSyntaxError,
+    display_names,
+    parse_turtle,
+    serialize_turtle,
+)
 
 PAUL_BLOCK = """
 @prefix ssd: <http://bdi.si.ehu.es/bdi/ontologies/SSDOnt/SSDOnt#> .
@@ -212,6 +219,27 @@ def test_empty_graph_serializes_to_prefixes_only():
     text = serialize_turtle(TripleGraph())
     assert "@prefix" in text
     assert parse_turtle(text).triples == {}
+
+
+def test_display_names_keep_iris_that_share_a_local_name_apart():
+    # a local name that one IRI alone has stays bare; where IRIs share one,
+    # each is a prefixed name with the smallest label of its namespace, or
+    # whole outside the known namespaces or without a plain local part
+    terms = [
+        ssd("x"), aut("x"), Iri("http://example.org/x"), ssd("y"),
+        ssd("1z"), aut("1z"), BlankNode("x"), Literal("x", "string"), Literal("7", "integer"),
+    ]
+    assert display_names(terms + terms[:2]) == {
+        ssd("x"): "ssd:x",
+        aut("x"): "aut:x",
+        Iri("http://example.org/x"): "<http://example.org/x>",
+        ssd("y"): "y",
+        ssd("1z"): f"<{SSD_NS}1z>",
+        aut("1z"): f"<{aut('1z').value}>",
+        BlankNode("x"): "_:x",
+        Literal("x", "string"): "x",
+        Literal("7", "integer"): "7",
+    }
 
 
 @given(st.text())
