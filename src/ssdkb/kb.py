@@ -10,7 +10,6 @@ triples directly.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
 from itertools import chain
@@ -267,15 +266,17 @@ def _read_age(node: Term | None, rows: list[Triple]) -> AgeDescription | None:
     return AgeDescription(years=years, months=months)
 
 
-def _read_participant(node: Term, rows: list[Triple], by_s: defaultdict) -> Participant:
+def _read_participant(
+    node: Term, rows: list[Triple], by_s: dict[Term, list[Triple]]
+) -> Participant:
     age = _one(rows, vocab.HAS_AGE)
     diagnosed = _one(rows, vocab.DIAGNOSED_AT_AGE)
     return Participant(
         id=node,
         condition=_one(rows, vocab.HAS_CONDITION),
         gender=_one(rows, vocab.HAS_GENDER),
-        age=_read_age(age, by_s[age]),
-        diagnosed_at_age=_read_age(diagnosed, by_s[diagnosed]),
+        age=_read_age(age, by_s.get(age, ())),
+        diagnosed_at_age=_read_age(diagnosed, by_s.get(diagnosed, ())),
     )
 
 
@@ -299,14 +300,14 @@ def _read_phase(node: Term, rows: list[Triple]) -> Phase:
     )
 
 
-def _read_result(node: Term, rows: list[Triple], by_s: defaultdict) -> Result:
+def _read_result(node: Term, rows: list[Triple], by_s: dict[Term, list[Triple]]) -> Result:
     value = _require_decimal(_one(rows, vocab.HAS_VALUE), node, "hasValue")
     if value is None:
         raise SchemaError("result lacks a hasValue", node)
     instant_node = _one(rows, vocab.OCCURS_IN)
     if instant_node is None:
         raise SchemaError("result lacks an occursIn instant", node)
-    instant_value = _one(by_s[instant_node], vocab.HAS_VALUE)
+    instant_value = _one(by_s.get(instant_node, ()), vocab.HAS_VALUE)
     instant = _require_int(instant_value, instant_node, "instant hasValue")
     if instant is None:
         raise SchemaError("instant lacks a hasValue", instant_node)
@@ -331,7 +332,7 @@ def graph_to_kb(graph: TripleGraph, taxonomy: Taxonomy | None = None) -> Knowled
     a node with no triples reads as an empty group. Each group is sorted,
     so any order of the same triples gives the same kb."""
     taxonomy = taxonomy or core_taxonomy()
-    by_s: defaultdict[Term, list[Triple]] = defaultdict(list, grouped(graph.triples, 0))
+    by_s = grouped(graph.triples, 0)
     for rows in by_s.values():
         rows.sort()
     # the store takes the sorted groups in (kind, text) order of their
@@ -353,7 +354,7 @@ def graph_to_kb(graph: TripleGraph, taxonomy: Taxonomy | None = None) -> Knowled
 
     def phases_of(rows: list[Triple]) -> tuple[Phase, ...]:
         """The phases of a study or an MBD item, by position."""
-        phases = (_read_phase(p, by_s[p]) for p in _objects(rows, vocab.HAS_PHASE))
+        phases = (_read_phase(p, by_s.get(p, ())) for p in _objects(rows, vocab.HAS_PHASE))
         return tuple(sorted(phases, key=lambda ph: ph.position))
 
     # results grouped by the phase they reference
@@ -371,17 +372,18 @@ def graph_to_kb(graph: TripleGraph, taxonomy: Taxonomy | None = None) -> Knowled
     for node in sorted(designs):
         rows = by_s[node]
         participants = tuple(
-            _read_participant(p, by_s[p], by_s) for p in _objects(rows, vocab.HAS_PARTICIPANT)
+            _read_participant(p, by_s.get(p, ()), by_s)
+            for p in _objects(rows, vocab.HAS_PARTICIPANT)
         )
         outcomes = tuple(_objects(rows, vocab.HAS_OUTCOME))
         phases = phases_of(rows)
         items = [
             MBDItem(
                 id=item,
-                subject=_one(by_s[item], vocab.HAS_PARTICIPANT),
-                setting=_one(by_s[item], vocab.HAS_SETTING),
-                outcome=_one(by_s[item], vocab.HAS_OUTCOME),
-                phases=phases_of(by_s[item]),
+                subject=_one(by_s.get(item, ()), vocab.HAS_PARTICIPANT),
+                setting=_one(by_s.get(item, ()), vocab.HAS_SETTING),
+                outcome=_one(by_s.get(item, ()), vocab.HAS_OUTCOME),
+                phases=phases_of(by_s.get(item, ())),
             )
             for item in _objects(rows, vocab.HAS_MBD_ITEM)
         ]

@@ -414,8 +414,9 @@ def display_names(terms) -> dict[Term, str]:
     """The text of each of `terms`, the terms of one answer, as a command
     prints it: an IRI as its local name, a blank node as `_:label` and a
     literal as its lexical form. Where two IRIs of the answer share a local
-    name, each is written as a prefixed name over `DEFAULT_PREFIXES`
-    instead, or whole as `<…>` in no known namespace."""
+    name, or a local name holds a `:` and so could read as a prefixed name,
+    each is written as a prefixed name over `DEFAULT_PREFIXES` instead, or
+    whole as `<…>` in no known namespace. So no two IRIs read the same."""
     names = {
         t: local_name(t) if isinstance(t, Iri) else t.lexical if isinstance(t, Literal) else str(t)
         for t in set(terms)
@@ -423,7 +424,7 @@ def display_names(terms) -> dict[Term, str]:
     shared = Counter(name for t, name in names.items() if isinstance(t, Iri))
     ns_to_label = _prefix_map(DEFAULT_PREFIXES)
     for t, name in names.items():
-        if shared[name] > 1 and isinstance(t, Iri):
+        if (shared[name] > 1 or ":" in name) and isinstance(t, Iri):
             names[t] = _render(t, ns_to_label)
     return names
 

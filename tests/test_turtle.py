@@ -224,9 +224,11 @@ def test_empty_graph_serializes_to_prefixes_only():
 def test_display_names_keep_iris_that_share_a_local_name_apart():
     # a local name that one IRI alone has stays bare; where IRIs share one,
     # each is a prefixed name with the smallest label of its namespace, or
-    # whole outside the known namespaces or without a plain local part
+    # whole outside the known namespaces or without a plain local part. A
+    # local name that reads as a prefixed name is never bare.
     terms = [
         ssd("x"), aut("x"), Iri("http://example.org/x"), ssd("y"),
+        Iri("http://example.org/a#ssd:x"),
         ssd("1z"), aut("1z"), BlankNode("x"), Literal("x", "string"), Literal("7", "integer"),
     ]
     assert display_names(terms + terms[:2]) == {
@@ -234,6 +236,7 @@ def test_display_names_keep_iris_that_share_a_local_name_apart():
         aut("x"): "aut:x",
         Iri("http://example.org/x"): "<http://example.org/x>",
         ssd("y"): "y",
+        Iri("http://example.org/a#ssd:x"): "<http://example.org/a#ssd:x>",
         ssd("1z"): f"<{SSD_NS}1z>",
         aut("1z"): f"<{aut('1z').value}>",
         BlankNode("x"): "_:x",
