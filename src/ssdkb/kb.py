@@ -266,9 +266,7 @@ def _read_age(node: Term | None, rows: list[Triple]) -> AgeDescription | None:
     return AgeDescription(years=years, months=months)
 
 
-def _read_participant(
-    node: Term, rows: list[Triple], by_s: dict[Term, list[Triple]]
-) -> Participant:
+def _read_participant(node: Term, rows: list[Triple], by_s: dict) -> Participant:
     age = _one(rows, vocab.HAS_AGE)
     diagnosed = _one(rows, vocab.DIAGNOSED_AT_AGE)
     return Participant(
@@ -300,7 +298,7 @@ def _read_phase(node: Term, rows: list[Triple]) -> Phase:
     )
 
 
-def _read_result(node: Term, rows: list[Triple], by_s: dict[Term, list[Triple]]) -> Result:
+def _read_result(node: Term, rows: list[Triple], by_s: dict) -> Result:
     value = _require_decimal(_one(rows, vocab.HAS_VALUE), node, "hasValue")
     if value is None:
         raise SchemaError("result lacks a hasValue", node)
